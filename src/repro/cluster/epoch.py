@@ -381,6 +381,7 @@ def _simulate_node(payload: dict) -> dict:
         "clock_now": node.clock.now,
         "fault_lost": fault_lost,
         "rate_solves": node.rate_solves,
+        "unconverged_solves": node.unconverged_solves,
         "rate_cache_hits": node.rate_cache_hits,
         "memo_additions": {
             signature: rates

@@ -446,6 +446,9 @@ class ClusterReport:
     shed_admission: int
     shed_failure: int
     shed_no_node: int
+    #: Model solves across the fleet whose fixed point did not
+    #: converge (the sum of the nodes' ``unconverged_solves``).
+    unconverged_solves: int
     fleet_slo: tuple
     aggregate: dict
     node_stats: tuple
@@ -484,6 +487,7 @@ class ClusterReport:
             "shed_admission": self.shed_admission,
             "shed_failure": self.shed_failure,
             "shed_no_node": self.shed_no_node,
+            "unconverged_solves": self.unconverged_solves,
             "fleet_slo": [v.to_dict() for v in self.fleet_slo],
             "aggregate": self.aggregate,
             "nodes": [
@@ -1475,6 +1479,7 @@ class Cluster:
             node.clock.advance_to(payload["clock_now"])
             node.slo = payload["slo"]
             node.rate_solves = payload["rate_solves"]
+            node.unconverged_solves = payload["unconverged_solves"]
             node.rate_cache_hits = payload["rate_cache_hits"]
             cache = node.rate_cache
             if hasattr(cache, "load"):
@@ -1618,6 +1623,9 @@ class Cluster:
             shed_admission=shed_admission,
             shed_failure=shed_failure,
             shed_no_node=self.shed_no_node,
+            unconverged_solves=sum(
+                report.unconverged_solves for report in node_reports
+            ),
             fleet_slo=fleet_slo.verdicts(),
             aggregate=aggregate,
             node_stats=tuple(

@@ -21,7 +21,12 @@ from .calibration import Calibration, DEFAULT_CALIBRATION
 from .latency import LatencyModel
 from .occupancy import CacheActorSet, RegionActor, StreamActor, solve_segment
 from .segments import Segment, decompose_masks
-from .simulator import QueryResult, QuerySpec, WorkloadSimulator
+from .simulator import (
+    QueryResult,
+    QuerySpec,
+    SimulationResults,
+    WorkloadSimulator,
+)
 from .streams import (
     AccessProfile,
     RandomRegion,
@@ -42,6 +47,7 @@ __all__ = [
     "RegionActor",
     "Segment",
     "SequentialStream",
+    "SimulationResults",
     "StreamActor",
     "WorkloadSimulator",
     "decompose_masks",

@@ -52,8 +52,11 @@ from ..obs.runtime import observing
 #: the simulator's semantics or the stored-result format changes; the
 #: disk layer namespaces entries by it, so stale caches are simply
 #: never read.
-KEY_SCHEMA = 2  # v2: vectorized Che solver (section search + chunked
+KEY_SCHEMA = 3  # v2: vectorized Che solver (section search + chunked
 #     bracket) shifts results within tolerance; old entries are stale.
+#   v3: the model fixed point mixes with Anderson acceleration, stops
+#     on the undamped residual and freezes placement limit cycles, so
+#     every v2 result is stale.
 
 #: Default in-memory LRU capacity (entries, not bytes; one entry is a
 #: few KiB of result rows).

@@ -42,7 +42,35 @@ def _json(fleet_jobs=1, **overrides) -> str:
     return cluster.run(fleet_jobs=fleet_jobs).to_json()
 
 
+def _cap_model_rounds(monkeypatch, rounds: int) -> None:
+    """Cap every simulator's fixed point (forked workers inherit it)."""
+    from repro.model.simulator import WorkloadSimulator
+
+    original = WorkloadSimulator.__init__
+
+    def capped(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        self.max_iterations = rounds
+
+    monkeypatch.setattr(WorkloadSimulator, "__init__", capped)
+
+
 class TestJobsEquivalence:
+    def test_unconverged_solves_byte_identical(self, monkeypatch):
+        # Node reports count unconverged model solves next to
+        # rate_solves; the epoch-worker payload carries the count, so
+        # the parallel path reproduces it and the fleet total.
+        _cap_model_rounds(monkeypatch, 2)
+        sequential = _json(1, policy="static")
+        assert _json(4, policy="static") == sequential
+        payload = json.loads(sequential)
+        per_node = [
+            node["report"]["unconverged_solves"]
+            for node in payload["nodes"]
+        ]
+        assert all(count > 0 for count in per_node)
+        assert payload["unconverged_solves"] == sum(per_node)
+
     @pytest.mark.parametrize(
         "profile", ["poisson", "bursty", "diurnal"]
     )

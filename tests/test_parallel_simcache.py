@@ -163,6 +163,37 @@ class TestDiskLayer:
         path.write_text("{ torn write", encoding="utf-8")
         assert cache.get("deadbeef") is None
 
+    def test_v2_entries_are_never_read(self, tmp_path, monkeypatch):
+        # v3 changed the fixed point's convergence loop: a result
+        # stored by a v2 build must not be served, whether it sits in
+        # its own v2 directory under its v2 key or is copied into the
+        # v3 directory under the current key.
+        from repro.parallel import simcache
+
+        assert KEY_SCHEMA == 3
+        request = _request(mask=0x3)
+        monkeypatch.setattr(simcache, "KEY_SCHEMA", 2)
+        stale_key = request.key()
+        SimulationCache(capacity=4, disk_dir=tmp_path).put(
+            stale_key, {"stale": 1}
+        )
+        monkeypatch.undo()
+        stale_path = tmp_path / "v2" / f"{stale_key}.json"
+        assert stale_path.exists()
+        assert request.key() != stale_key
+
+        cache = SimulationCache(capacity=4, disk_dir=tmp_path)
+        assert cache.get(stale_key) is None
+        assert cache.get(request.key()) is None
+        moved = tmp_path / "v3" / f"{request.key()}.json"
+        moved.parent.mkdir()
+        moved.write_text(
+            stale_path.read_text(encoding="utf-8"), encoding="utf-8"
+        )
+        assert cache.get(request.key()) is None
+        [results] = evaluate([request], cache=cache)
+        assert "stale" not in results
+
     def test_disk_hit_promotes_to_memory(self, tmp_path):
         registry = MetricsRegistry()
         install(new_metrics=registry)

@@ -225,3 +225,35 @@ class TestConfigValidation:
             _config(seed=-1)
         with pytest.raises(ServeError):
             _config(mix="shift", shift_at_s=10.0)  # past horizon
+
+
+class TestConvergenceReporting:
+    def test_unconverged_solves_counted(self):
+        service = QueryService(_config(policy="static", duration_s=2.0))
+        service.simulator.max_iterations = 2
+        report = service.run()
+        assert 0 < report.unconverged_solves <= report.rate_solves
+        assert (
+            report.to_dict()["unconverged_solves"]
+            == report.unconverged_solves
+        )
+
+    def test_converged_run_reports_zero(self, baseline_report):
+        assert baseline_report.rate_solves > 0
+        assert baseline_report.unconverged_solves == 0
+
+    def test_memo_hits_count_like_solves(self):
+        # A node that takes an unconverged composition from a shared
+        # memo counts it exactly as the node that solved it did.
+        memo: dict = {}
+        first = QueryService(
+            _config(policy="static", duration_s=2.0), solve_memo=memo
+        )
+        first.simulator.max_iterations = 2
+        solved = first.run()
+        second = QueryService(
+            _config(policy="static", duration_s=2.0), solve_memo=memo
+        )
+        reused = second.run()
+        assert reused.rate_solves == solved.rate_solves
+        assert reused.unconverged_solves == solved.unconverged_solves
