@@ -67,10 +67,10 @@ BASE = dict(
 )
 
 
-def _timed_run(policy: str, rate_cache: dict, controller=None):
+def _timed_run(policy: str, solve_memo: dict, controller=None):
     config = ServiceConfig(policy=policy, **BASE)
     service = QueryService(
-        config, rate_cache=rate_cache, controller=controller
+        config, solve_memo=solve_memo, controller=controller
     )
     started = time.perf_counter()
     report = service.run()
@@ -91,36 +91,34 @@ def _append_trajectory(record: dict) -> None:
 
 
 def test_serve_event_rate_and_controller_overhead():
-    rate_cache: dict = {}
+    solve_memo: dict = {}
 
-    # Determinism gate: same config from a cold start -> same bytes
-    # (each run gets a fresh cache; hit counters are part of the
-    # report, so sharing one here would trivially differ).
+    # Determinism gate: same config from a cold start -> same bytes.
     _, first, _ = _timed_run("none", {})
     _, second, _ = _timed_run("none", {})
     assert first.to_json() == second.to_json()
 
-    # Warm the shared rate cache for the timed passes.
-    _timed_run("none", rate_cache)
+    # Warm the shared solve memo for the timed passes.
+    _timed_run("none", solve_memo)
 
-    # Event-loop throughput: warm cache, no controller.
-    none_s, none_report, _ = _timed_run("none", rate_cache)
+    # Event-loop throughput: warm memo, no controller.
+    none_s, none_report, _ = _timed_run("none", solve_memo)
 
     # Discovery: cold controller pays per-class probes and sweeps
     # once; this also warms the adaptive-composition cache entries.
     discovery_s, cold_report, cold_service = _timed_run(
-        "adaptive", rate_cache
+        "adaptive", solve_memo
     )
 
     # Steady state: the converged controller (cached analyses,
     # installed masks) re-drives the identical workload.  The
     # converged trajectory visits compositions the cold run never
     # formed (masks are installed from t=0), so one un-timed pass
-    # populates those rate-cache entries first; the timed pass then
+    # populates those memo entries first; the timed pass then
     # measures control-loop cost, not solver cost.
-    _timed_run("adaptive", rate_cache, controller=cold_service.controller)
+    _timed_run("adaptive", solve_memo, controller=cold_service.controller)
     adaptive_s, _, _ = _timed_run(
-        "adaptive", rate_cache, controller=cold_service.controller
+        "adaptive", solve_memo, controller=cold_service.controller
     )
 
     events = none_report.events["popped"]
@@ -141,7 +139,7 @@ def test_serve_event_rate_and_controller_overhead():
         "adaptive_reconfigurations": cold_report.controller[
             "reconfigurations"
         ],
-        "rate_cache_entries": len(rate_cache),
+        "rate_cache_entries": len(solve_memo),
     }
     _append_trajectory(record)
     print(f"bench_serve: {json.dumps(record)}")

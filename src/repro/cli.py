@@ -239,15 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="arrival-process seed (recorded in the report)",
     )
     serve.add_argument(
-        "--engine", dest="serve_engine",
-        choices=("scalar", "vector"), default="vector",
-        help=(
-            "hot-path implementation: 'vector' (NumPy batched; "
-            "default) or 'scalar' (pure-Python reference) — both "
-            "produce byte-identical reports"
-        ),
-    )
-    serve.add_argument(
         "--sample-window", type=float, default=None,
         metavar="SECONDS",
         help=(
@@ -291,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
             "fleet report merging per-node latency histograms into "
             "fleet-wide SLO verdicts.  Deterministic: the same "
             "arguments produce a byte-identical report for any "
-            "--jobs value."
+            "--fleet-jobs value."
         ),
     )
     cluster.add_argument(
@@ -403,14 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="fleet seed (recorded in the report)",
     )
     cluster.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help=(
-            "accepted for interface symmetry; the report is "
-            "byte-identical for any value (see --fleet-jobs for "
-            "actual fan-out)"
-        ),
-    )
-    cluster.add_argument(
         "--fleet-jobs", type=int, default=1, metavar="N",
         help=(
             "simulate nodes on N worker processes (hash router "
@@ -418,14 +401,6 @@ def build_parser() -> argparse.ArgumentParser:
             "reports for any value; stateful routers fall back to "
             "sequential with a report-recorded warning) "
             "(default: 1)"
-        ),
-    )
-    cluster.add_argument(
-        "--engine", dest="serve_engine",
-        choices=("scalar", "vector"), default="vector",
-        help=(
-            "per-node hot-path implementation (default: vector; "
-            "byte-identical reports either way)"
         ),
     )
     cluster.add_argument(
@@ -718,10 +693,7 @@ def _run_serve(args: argparse.Namespace) -> int:
             label = "default" if args.seed is None else str(args.seed)
         with observing() as (tracer, _):
             with tracer.span("serve"):
-                report = QueryService(
-                    config, arrivals=arrivals,
-                    engine=args.serve_engine,
-                ).run()
+                report = QueryService(config, arrivals=arrivals).run()
         if args.trace:
             print()
             print(format_spans(tracer.root))
@@ -799,10 +771,6 @@ def _run_cluster(args: argparse.Namespace) -> int:
     from .planner import training_from_report
     from .serve.arrivals import DEFAULT_ARRIVAL_SEED
 
-    if args.jobs < 1:
-        print(f"error: --jobs must be >= 1, got {args.jobs}",
-              file=sys.stderr)
-        return 2
     if args.fleet_jobs < 1:
         print(
             f"error: --fleet-jobs must be >= 1, got "
@@ -884,9 +852,9 @@ def _run_cluster(args: argparse.Namespace) -> int:
             return 2
         with observing() as (tracer, _):
             with tracer.span("cluster"):
-                report = Cluster(
-                    config, engine=args.serve_engine
-                ).run(fleet_jobs=args.fleet_jobs)
+                report = Cluster(config).run(
+                    fleet_jobs=args.fleet_jobs
+                )
         if args.trace:
             print()
             print(format_spans(tracer.root))

@@ -325,7 +325,6 @@ def _simulate_node(payload: dict) -> dict:
         config.node_config(index),
         spec=payload["spec"],
         calibration=payload["calibration"],
-        engine=payload["engine"],
         solve_memo=dict(payload["memo"]),
     )
     if node.controller is not None:
@@ -367,7 +366,6 @@ def _simulate_node(payload: dict) -> dict:
             arrival_pos += 1
             accept(time_s, cls)
     prewarmed = payload["memo"].keys()
-    rate_cache = node.rate_cache
     return {
         "index": index,
         "report": node.report(),
@@ -384,14 +382,10 @@ def _simulate_node(payload: dict) -> dict:
         "unconverged_solves": node.unconverged_solves,
         "rate_cache_hits": node.rate_cache_hits,
         "memo_additions": {
-            signature: rates
-            for signature, rates in node.solve_memo.items()
-            if signature not in prewarmed
+            key: rates
+            for key, rates in node.solve_memo.items()
+            if key not in prewarmed
         },
-        "rate_cache_entries": (
-            rate_cache.export()
-            if hasattr(rate_cache, "export")
-            else tuple(rate_cache.items())
-        ),
-        "rate_cache_evictions": getattr(rate_cache, "evictions", 0),
+        "rate_cache_entries": node.rate_cache.export(),
+        "rate_cache_evictions": node.rate_cache.evictions,
     }

@@ -30,7 +30,7 @@ made fleet throughput *fall* as N grew.
 
 Ties break by (time, lane, index) — pure integers, no hash order — so
 one seed produces one event interleaving and therefore one
-byte-identical fleet report, regardless of ``--jobs``.
+byte-identical fleet report, regardless of ``--fleet-jobs``.
 
 **Epoch-parallel execution.**  Under the ``hash`` router a routing
 decision reads only the ring and the alive set — never node state — so
@@ -124,7 +124,6 @@ from ..serve.events import EventKind
 from ..serve.service import (
     ARRIVAL_WINDOW_S,
     POLICIES,
-    SERVE_ENGINES,
     ServiceConfig,
 )
 from ..serve.slo import SloTarget, SloTracker
@@ -599,14 +598,8 @@ class Cluster:
         config: ClusterConfig,
         spec: SystemSpec | None = None,
         calibration: Calibration = DEFAULT_CALIBRATION,
-        engine: str = "vector",
     ) -> None:
-        if engine not in SERVE_ENGINES:
-            raise ClusterError(
-                f"engine must be one of {SERVE_ENGINES}: {engine!r}"
-            )
         self.config = config
-        self.engine = engine
         self.spec = spec if spec is not None else SystemSpec()
         self.calibration = calibration
         self.router: Router = make_router(
@@ -643,7 +636,6 @@ class Cluster:
                 config.node_config(index),
                 spec=self.spec,
                 calibration=calibration,
-                engine=engine,
                 solve_memo=self.solve_memo,
             )
             if node.controller is not None:
@@ -968,6 +960,17 @@ class Cluster:
             target.accept(timestamp, cls, arrived_s=arrived_s)
             self._refresh_lane(1, decision.target)
 
+    def _count_arrival(self, timestamp: float, cls) -> None:
+        """File one offered arrival in its class and tenant windows."""
+        window = min(
+            int(timestamp / ARRIVAL_WINDOW_S),
+            len(self._class_windows) - 1,
+        )
+        counts = self._class_windows[window]
+        counts[cls.name] = counts.get(cls.name, 0) + 1
+        counts = self._tenant_windows[window]
+        counts[cls.tenant] = counts.get(cls.tenant, 0) + 1
+
     def _process_arrival(self, index: int) -> None:
         source = self._sources[index]
         assert source.pending is not None
@@ -978,14 +981,7 @@ class Cluster:
         key = tenant_id(cls.tenant, tenant_index)
         self.generated += 1
         source.generated += 1
-        window = min(
-            int(timestamp / ARRIVAL_WINDOW_S),
-            len(self._class_windows) - 1,
-        )
-        counts = self._class_windows[window]
-        counts[cls.name] = counts.get(cls.name, 0) + 1
-        counts = self._tenant_windows[window]
-        counts[cls.tenant] = counts.get(cls.tenant, 0) + 1
+        self._count_arrival(timestamp, cls)
         until = self._blackout.get(key) if self._blackout else None
         if until is not None:
             if timestamp < until:
@@ -1036,12 +1032,8 @@ class Cluster:
             ].to_cuid_policy(self.spec)
             if not node.alive or node.cache_controller.policy == policy:
                 continue
-            # Same sequence as a controller reconfiguration: program
-            # the masks, re-associate everything running, reflow.
             node.cache_controller.enable(policy)
-            for request_id in sorted(node.admission.running):
-                node._associate(node._requests[request_id])
-            node._reflow(now)
+            node.reprogram(now)
             self._refresh_lane(1, node_index)
         if migration is not None and migration.downtime_s > 0:
             until = migration.blackout_until_s
@@ -1075,14 +1067,7 @@ class Cluster:
         self.generated += 1
         stream.generated += 1
         runtime.metrics.counter("defense.attack.arrivals").inc()
-        window = min(
-            int(timestamp / ARRIVAL_WINDOW_S),
-            len(self._class_windows) - 1,
-        )
-        counts = self._class_windows[window]
-        counts[cls.name] = counts.get(cls.name, 0) + 1
-        counts = self._tenant_windows[window]
-        counts[cls.tenant] = counts.get(cls.tenant, 0) + 1
+        self._count_arrival(timestamp, cls)
         self._route_and_accept(
             timestamp, index % self.config.nodes, cls, stream.key
         )
@@ -1094,10 +1079,9 @@ class Cluster:
     ) -> None:
         """Re-derive masks for running members of ``group`` fleet-wide.
 
-        Same sequence as a controller reconfiguration: re-associate
-        everything running on an affected node, then reflow its rates.
-        Nodes with no running member of the group are left untouched
-        so their event streams don't shift.
+        Every affected node is reprogrammed; nodes with no running
+        member of the group are left untouched so their event streams
+        don't shift.
         """
         names = self._group_class_names.get(group, ())
         for node in self.nodes:
@@ -1108,9 +1092,7 @@ class Cluster:
                 for request in node.admission.running.values()
             ):
                 continue
-            for request_id in sorted(node.admission.running):
-                node._associate(node._requests[request_id])
-            node._reflow(now)
+            node.reprogram(now)
             self._refresh_lane(1, node.index)
 
     def _apply_conviction(self, group: str, now: float) -> None:
@@ -1384,7 +1366,6 @@ class Cluster:
                             "config": config,
                             "spec": self.spec,
                             "calibration": self.calibration,
-                            "engine": self.engine,
                             "arrivals": plan.node_arrivals[index],
                             "faults": plan.node_faults[index],
                             "memo": memo,
@@ -1481,12 +1462,8 @@ class Cluster:
             node.rate_solves = payload["rate_solves"]
             node.unconverged_solves = payload["unconverged_solves"]
             node.rate_cache_hits = payload["rate_cache_hits"]
-            cache = node.rate_cache
-            if hasattr(cache, "load"):
-                cache.load(payload["rate_cache_entries"])
-                cache.evictions = payload["rate_cache_evictions"]
-            else:
-                cache.update(dict(payload["rate_cache_entries"]))
+            node.rate_cache.load(payload["rate_cache_entries"])
+            node.rate_cache.evictions = payload["rate_cache_evictions"]
             # Same downtime closure the sequential loop applies, with
             # the same global horizon (max over every node's clock).
             node.close_downtime(horizon)

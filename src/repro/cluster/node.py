@@ -48,8 +48,6 @@ class ClusterNode(QueryService):
         config: ServiceConfig,
         spec: SystemSpec | None = None,
         calibration: Calibration = DEFAULT_CALIBRATION,
-        rate_cache: dict | None = None,
-        engine: str = "vector",
         solve_memo: dict | None = None,
     ) -> None:
         if index < 0:
@@ -59,9 +57,7 @@ class ClusterNode(QueryService):
             config,
             spec=spec,
             calibration=calibration,
-            rate_cache=rate_cache,
             arrivals=_NoArrivals(),
-            engine=engine,
             solve_memo=solve_memo,
         )
         self.alive = True
@@ -133,7 +129,7 @@ class ClusterNode(QueryService):
         self._state.epoch += 1
         self.cache_controller.disable()
         if self.controller is not None:
-            self.controller._installed_masks = None
+            self.controller.reset()
         lost = len(running) + len(queued)
         self.failure_shed += lost
         self.kills += 1

@@ -17,7 +17,7 @@ buy a *service* that faces offered load it does not control:
   reconfiguration; a small bound demonstrates the re-convergence the
   paper lists as future work (Sec. VIII).
 
-Every run is seeded and the per-composition rate-solve cache is shared
+Every run is seeded and the per-composition solve memo is shared
 across the whole experiment, so the comparison is deterministic and
 cheap: identical compositions under different policies/rates are
 solved once.
@@ -80,7 +80,7 @@ def run(fast: bool = False) -> FigureResult:
     shift_duration = (
         FAST_SHIFT_DURATION_S if fast else SHIFT_DURATION_S
     )
-    rate_cache: dict = {}
+    solve_memo: dict = {}
 
     result = FigureResult(
         figure_id="ext_service",
@@ -107,9 +107,7 @@ def run(fast: bool = False) -> FigureResult:
                 rate_per_s=rate,
                 seed=SEED,
             )
-            report = QueryService(
-                config, rate_cache=rate_cache
-            ).run()
+            report = QueryService(config, solve_memo=solve_memo).run()
             reports[(rate, policy)] = report
             result.add(*_row("load", report))
 
@@ -134,7 +132,7 @@ def run(fast: bool = False) -> FigureResult:
         shift_at_s=shift_at,
     )
     shift_report = QueryService(
-        shift_config, rate_cache=rate_cache
+        shift_config, solve_memo=solve_memo
     ).run()
     result.add(*_row("shift", shift_report, converge_after_s=shift_at))
     post_shift = _converge_ticks(shift_report, shift_at)

@@ -457,15 +457,17 @@ class BlueprintScorer:
 
     def _solve(self, signature: tuple) -> dict[str, float]:
         """Per-class per-instance rates for one composition signature
-        (the service's exact signature format, memo-shared)."""
+        (the service's exact signature format, memo-shared under the
+        service's ``(slot_cores, signature)`` key)."""
         memo = self.solve_memo
-        per_class = memo.get(signature) if memo is not None else None
+        key = (self.slot_cores, signature)
+        per_class = memo.get(key) if memo is not None else None
         if per_class is None:
             specs = self._specs(signature)
             results = self.simulator.simulate(specs)
             per_class = _per_class_rates(signature, results)
             if memo is not None:
-                memo[signature] = per_class
+                memo[key] = per_class
             self.solves += 1
         return per_class
 
@@ -618,7 +620,8 @@ class BlueprintScorer:
         missing: list[tuple] = []
         for signature in signatures:
             per_class = (
-                memo.get(signature) if memo is not None else None
+                memo.get((self.slot_cores, signature))
+                if memo is not None else None
             )
             if per_class is None:
                 missing.append(signature)
@@ -669,7 +672,7 @@ class BlueprintScorer:
         for signature, per_class in solved:
             solutions[signature] = per_class
             if memo is not None:
-                memo[signature] = per_class
+                memo[(self.slot_cores, signature)] = per_class
             self.solves += 1
         return solutions
 

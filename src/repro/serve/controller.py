@@ -273,6 +273,16 @@ class AdaptiveController:
         self.decisions.append(decision)
         return decision
 
+    def reset(self) -> None:
+        """Forget the installed masks, as a restarted process does.
+
+        Masks fall back to the full mask until the next
+        reconfiguration.  The per-class probe caches, tick counters
+        and decision history survive: they belong to the run, not to
+        the process that crashed.
+        """
+        self._installed_masks = None
+
     def mask_for(self, cls: RequestClass) -> int:
         """The mask the current installed state assigns to a class.
 

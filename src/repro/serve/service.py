@@ -23,9 +23,12 @@ controller reconfiguration).  Each such *reflow* advances every
 running request's remaining work at the old rates, bumps an epoch
 counter, and schedules fresh COMPLETION events at the new rates;
 completion events from earlier epochs are recognised by their stale
-epoch and dropped (lazy invalidation).  Rate solves are memoised in a
-``rate_cache`` keyed by the exact (class, count, mask) composition —
-shareable across runs, which is what keeps policy comparisons cheap.
+epoch and dropped (lazy invalidation).  Rate solves are memoised in
+each service's bounded :class:`RateCache`, keyed by the exact (class,
+mask, count) composition.  Runs share solves through an optional
+``solve_memo`` behind that cache — what keeps policy comparisons and
+fleets cheap — keyed by slot size as well, since the same composition
+solves to different rates at a different core count per slot.
 
 Determinism: the only randomness is the seeded arrival process, time
 only moves through the event queue, and the report contains no wall
@@ -39,8 +42,6 @@ import json
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
-
-import numpy as np
 
 from ..config import SystemSpec
 from ..core.policy import paper_scheme
@@ -71,13 +72,6 @@ from .slo import SloTarget, SloTracker
 PROFILES = ("poisson", "bursty", "diurnal", "replay")
 POLICIES = ("none", "static", "adaptive")
 MIXES = ("olap", "oltp", "shift")
-
-#: Event-loop engines.  ``vector`` (the default) advances running work
-#: and files latencies through NumPy batch operations; ``scalar`` is
-#: the element-at-a-time reference path.  Both produce byte-identical
-#: reports (the equivalence suite asserts it), so the engine is NOT
-#: part of :class:`ServiceConfig` — it changes cost, never results.
-SERVE_ENGINES = ("scalar", "vector")
 
 #: In-flight budget (running + queued) shared by every jailed class
 #: on a node.  One slot: a convicted group keeps exactly one request
@@ -129,10 +123,9 @@ class RateCache:
     The same shape as the in-memory layer of
     :class:`repro.parallel.simcache.SimulationCache`: an
     ``OrderedDict`` with move-to-end on hit and pop-oldest on
-    overflow.  Duck-type compatible with the plain ``dict`` callers
-    used to pass (``get`` / item assignment / ``len``), so a shared
-    unbounded dict still works where a caller wants one.  Evictions
-    are counted on the instance and published as
+    overflow.  Each service owns one; solves are shared across
+    services through the ``solve_memo`` behind it.  Evictions are
+    counted on the instance and published as
     ``serve.rate_cache_evictions``.
     """
 
@@ -162,12 +155,6 @@ class RateCache:
             runtime.metrics.counter(
                 "serve.rate_cache_evictions"
             ).inc()
-
-    def __contains__(self, key: tuple) -> bool:
-        return key in self._entries
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
     def export(self) -> tuple:
         """Entries in recency order (oldest first), picklable.
@@ -369,30 +356,21 @@ class QueryService:
         config: ServiceConfig,
         spec: SystemSpec | None = None,
         calibration: Calibration = DEFAULT_CALIBRATION,
-        rate_cache: dict | None = None,
         controller: AdaptiveController | None = None,
         arrivals=None,
-        engine: str = "vector",
         solve_memo: dict | None = None,
     ) -> None:
-        if engine not in SERVE_ENGINES:
-            raise ServeError(
-                f"engine must be one of {SERVE_ENGINES}: {engine!r}"
-            )
         self.config = config
-        self.engine = engine
         self.spec = spec if spec is not None else SystemSpec()
         self.calibration = calibration
         self.simulator = WorkloadSimulator(self.spec, calibration)
-        self.rate_cache = (
-            rate_cache if rate_cache is not None else RateCache()
-        )
-        #: Optional fleet-shared solve memo (signature -> per-class
-        #: rates).  Sits BEHIND the per-service rate cache: a service
-        #: still counts its own ``rate_solves`` on a local cache miss,
-        #: so its report is independent of who populated the memo —
-        #: only the redundant ``simulate()`` call is elided.  Sharers
-        #: must run identical (spec, calibration).
+        self.rate_cache = RateCache()
+        #: Optional shared solve memo (``(slot_cores, signature)`` ->
+        #: per-class rates).  Sits BEHIND the per-service rate cache: a
+        #: service still counts its own ``rate_solves`` on a local
+        #: cache miss, so its report is independent of who populated
+        #: the memo — only the redundant ``simulate()`` call is elided.
+        #: Sharers must run identical (spec, calibration).
         self.solve_memo = solve_memo
         self.rate_solves = 0
         self.unconverged_solves = 0
@@ -436,7 +414,6 @@ class QueryService:
                 SloTarget("olap", p99_s=config.olap_p99_s),
                 SloTarget("oltp", p99_s=config.oltp_p99_s),
             ),
-            engine=engine,
         )
         self._mix_schedule = self._build_mix_schedule()
         if arrivals is not None:
@@ -561,11 +538,14 @@ class QueryService:
             self.rate_solves += 1
             runtime.metrics.counter("serve.rate_solves").inc()
             memo = self.solve_memo
-            per_class = memo.get(signature) if memo is not None else None
+            # The rates depend on the cores behind each instance, so a
+            # memo shared across slot sizes keys by slot size too.
+            memo_key = (self.slot_cores, signature)
+            per_class = memo.get(memo_key) if memo is not None else None
             if per_class is None:
                 per_class = self._solve_signature(signature)
                 if memo is not None:
-                    memo[signature] = per_class
+                    memo[memo_key] = per_class
                     runtime.metrics.counter(
                         "serve.batch.memo_misses"
                     ).inc()
@@ -627,30 +607,11 @@ class QueryService:
         elapsed = now - self._state.last_advance_s
         rates = self._state.rates
         if elapsed > 0.0 and rates:
-            if self.engine == "vector" and len(rates) > 1:
-                # Struct-of-arrays decrement; elementwise IEEE-754 ops
-                # identical to the scalar loop, so both engines keep
-                # bit-equal remaining work.
-                ids = list(rates)
-                rate_arr = np.fromiter(
-                    rates.values(), dtype=np.float64, count=len(ids)
+            for request_id, rate in rates.items():
+                request = self._requests[request_id]
+                request.remaining_tuples = max(
+                    0.0, request.remaining_tuples - rate * elapsed
                 )
-                remaining = np.fromiter(
-                    (self._requests[i].remaining_tuples for i in ids),
-                    dtype=np.float64,
-                    count=len(ids),
-                )
-                remaining = np.maximum(
-                    0.0, remaining - rate_arr * elapsed
-                )
-                for request_id, value in zip(ids, remaining.tolist()):
-                    self._requests[request_id].remaining_tuples = value
-            else:
-                for request_id, rate in rates.items():
-                    request = self._requests[request_id]
-                    request.remaining_tuples = max(
-                        0.0, request.remaining_tuples - rate * elapsed
-                    )
         self._state.last_advance_s = now
 
     def _reflow(self, now: float) -> None:
@@ -668,6 +629,18 @@ class QueryService:
                 request_id=request_id,
                 epoch=self._state.epoch,
             )
+
+    def reprogram(self, now: float) -> None:
+        """Apply changed CAT masks to everything running at ``now``.
+
+        The one path for every mask change (controller decision,
+        planner scheme switch, defense jail): re-associate each running
+        request's worker slot in request-id order, then reflow the
+        rates under the new masks.
+        """
+        for request_id in sorted(self.admission.running):
+            self._associate(self._requests[request_id])
+        self._reflow(now)
 
     def _associate(self, request: Request) -> None:
         tid = self._state.slots[request.request_id]
@@ -796,9 +769,7 @@ class QueryService:
         ]
         decision = self.controller.tick(now, active)
         if decision.changed:
-            for request_id in sorted(self.admission.running):
-                self._associate(self._requests[request_id])
-            self._reflow(now)
+            self.reprogram(now)
         next_tick = now + self.controller.interval_s
         if next_tick < self.config.duration_s:
             self.queue.push(next_tick, EventKind.CONTROL)
@@ -907,9 +878,7 @@ class QueryService:
             rate_solves=self.rate_solves,
             unconverged_solves=self.unconverged_solves,
             rate_cache_hits=self.rate_cache_hits,
-            rate_cache_evictions=getattr(
-                self.rate_cache, "evictions", 0
-            ),
+            rate_cache_evictions=self.rate_cache.evictions,
             arrivals=tuple(arrival_log),
             arrival_windows=arrival_windows,
         )

@@ -219,6 +219,17 @@ class TestClusterCommand:
                 ["cluster", "--router", "random"]
             )
 
+    @pytest.mark.parametrize("argv", [
+        ["serve", "--engine", "scalar"],
+        ["cluster", "--engine", "vector"],
+        ["cluster", "--jobs", "4"],
+    ])
+    def test_removed_options_rejected(self, argv):
+        # One serve hot path: no engine knob, and fan-out is
+        # --fleet-jobs only.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+
     def test_cluster_writes_deterministic_report(
         self, tmp_path, capsys
     ):
@@ -231,10 +242,10 @@ class TestClusterCommand:
         assert "fleet olap" in first
         path = tmp_path / "cluster-hash-n2-seed7.json"
         first_bytes = path.read_bytes()
-        # Byte-identical on a rerun, for any --jobs value, and for any
-        # --fleet-jobs value (the epoch-parallel path must splice back
-        # into exactly the sequential report).
-        assert main(argv + ["--jobs", "4"]) == 0
+        # Byte-identical on a rerun, and for any --fleet-jobs value
+        # (the epoch-parallel path must splice back into exactly the
+        # sequential report).
+        assert main(argv) == 0
         capsys.readouterr()
         assert path.read_bytes() == first_bytes
         assert main(argv + ["--fleet-jobs", "2"]) == 0

@@ -20,13 +20,13 @@ from repro.planner import (
 GROUPS = ("batch", "olap", "oltp")
 
 
-def _scorer(solve_memo=None):
+def _scorer(solve_memo=None, max_concurrency=8):
     classes = cluster_classes(DEFAULT_SYSTEM.cores)
     return BlueprintScorer(
         DEFAULT_SYSTEM,
         classes=classes,
         targets={"olap": 1.2, "oltp": 0.6},
-        max_concurrency=8,
+        max_concurrency=max_concurrency,
         solve_memo=solve_memo,
     )
 
@@ -162,6 +162,28 @@ class TestScoring:
         second = _scorer(memo)
         second.score(spread, rates)
         assert second.solves == 0
+
+    def test_solve_memo_keyed_by_slot_size(self):
+        # A scorer at another max_concurrency sizes its slots
+        # differently; its entries must not be served as this one's.
+        memo: dict = {}
+        rates = _rates()
+        candidates = enumerate_blueprints(2, GROUPS)
+        other = _scorer(memo, max_concurrency=2)
+        other.score_many(candidates, rates)
+        warm = _scorer(memo)
+        warm_scores = [warm.score(c, rates) for c in candidates]
+        warm_batch = _scorer(memo).score_many(candidates, rates)
+        cold = _scorer({})
+        cold_scores = [cold.score(c, rates) for c in candidates]
+        # Nothing aliased: the warm scorer solved every composition a
+        # cold one does.
+        assert warm.solves == cold.solves > 0
+        for index, expected in enumerate(cold_scores):
+            assert warm_scores[index].to_dict() == expected.to_dict()
+            assert warm_batch.materialize(index).to_dict() == (
+                expected.to_dict()
+            )
 
 
 class TestBatchScoring:

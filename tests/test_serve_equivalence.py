@@ -1,11 +1,11 @@
-"""Cross-implementation equivalence: scalar vs vectorized serve path.
+"""Solve-sharing equivalence: a shared solve memo never changes a report.
 
-The vectorized engine is the default hot path; the scalar engine is
-the reference implementation.  The contract is *byte-identical
-reports*: every float in the report must match exactly, not within a
-tolerance — the vector path may only batch the same arithmetic, never
-reorder it.  This is what keeps the engine choice out of the
-determinism domain (``ServiceConfig``).
+Services share composition solves through ``solve_memo``; each still
+owns its rate cache and counts its own misses.  The contract is
+*byte-identical reports*: a run whose memo was warmed by other runs —
+including runs at a different ``max_concurrency``, whose slots hold a
+different number of cores — must print exactly the report of a cold
+run, counters included.  Only the redundant model solves go away.
 """
 
 from hypothesis import given, settings
@@ -14,53 +14,58 @@ from hypothesis import strategies as st
 from repro.serve import QueryService, ServiceConfig
 
 
-def _report(engine: str, **overrides) -> str:
+def _report(solve_memo=None, **overrides) -> str:
     defaults = dict(
         profile="poisson", policy="none", mix="olap",
         duration_s=4.0, rate_per_s=8.0, seed=7,
     )
     defaults.update(overrides)
     config = ServiceConfig(**defaults)
-    return QueryService(config, engine=engine).run().to_json()
+    return QueryService(config, solve_memo=solve_memo).run().to_json()
 
 
-def _assert_engines_agree(**overrides) -> None:
-    assert _report("vector", **overrides) == _report(
-        "scalar", **overrides
-    )
+def _assert_sharing_invisible(**overrides) -> None:
+    cold = _report(**overrides)
+    memo: dict = {}
+    # Warm the memo at another slot size first: none of its entries
+    # may be served to the runs below.
+    _report(memo, max_concurrency=2, **overrides)
+    assert _report(memo, **overrides) == cold
+    # Now every composition is a memo hit.
+    assert _report(memo, **overrides) == cold
 
 
 class TestPolicies:
     def test_none(self):
-        _assert_engines_agree(policy="none")
+        _assert_sharing_invisible(policy="none")
 
     def test_static(self):
-        _assert_engines_agree(policy="static")
+        _assert_sharing_invisible(policy="static")
 
     def test_adaptive(self):
-        _assert_engines_agree(policy="adaptive", duration_s=6.0)
+        _assert_sharing_invisible(policy="adaptive", duration_s=6.0)
 
 
 class TestProfiles:
     def test_bursty(self):
-        _assert_engines_agree(profile="bursty")
+        _assert_sharing_invisible(profile="bursty")
 
     def test_diurnal(self):
-        _assert_engines_agree(profile="diurnal")
+        _assert_sharing_invisible(profile="diurnal")
 
     def test_mix_shift(self):
-        _assert_engines_agree(mix="shift", duration_s=6.0)
+        _assert_sharing_invisible(mix="shift", duration_s=6.0)
 
 
 class TestSampling:
     def test_sampled_run_identical(self):
-        _assert_engines_agree(
+        _assert_sharing_invisible(
             duration_s=9.0, sample_window_s=1.0, sample_period=3,
             sample_warmup=0.5,
         )
 
     def test_warmup_disabled(self):
-        _assert_engines_agree(
+        _assert_sharing_invisible(
             duration_s=9.0, sample_window_s=1.5, sample_period=2,
             sample_warmup=0.0,
         )
@@ -74,7 +79,7 @@ class TestPropertyBased:
         policy=st.sampled_from(("none", "static", "adaptive")),
     )
     def test_reports_byte_identical(self, seed, profile, policy):
-        _assert_engines_agree(
+        _assert_sharing_invisible(
             seed=seed, profile=profile, policy=policy,
             duration_s=3.0, rate_per_s=6.0,
         )

@@ -23,15 +23,15 @@ def _config(**overrides):
 
 
 @pytest.fixture(scope="module")
-def rate_cache():
-    """Shared composition->rates cache: identical compositions across
-    the module's runs are solved once."""
+def solve_memo():
+    """Shared solve memo: identical compositions across the module's
+    runs are solved once."""
     return {}
 
 
 @pytest.fixture(scope="module")
-def baseline_report(rate_cache):
-    return QueryService(_config(), rate_cache=rate_cache).run()
+def baseline_report(solve_memo):
+    return QueryService(_config(), solve_memo=solve_memo).run()
 
 
 class TestConservation:
@@ -51,51 +51,46 @@ class TestConservation:
 
 
 class TestDeterminism:
-    def test_same_config_byte_identical_report(self, rate_cache):
-        first = QueryService(_config(), rate_cache=rate_cache).run()
-        second = QueryService(_config(), rate_cache=rate_cache).run()
+    def test_same_config_byte_identical_report(self, solve_memo):
+        first = QueryService(_config(), solve_memo=solve_memo).run()
+        second = QueryService(_config(), solve_memo=solve_memo).run()
         assert first.to_json() == second.to_json()
 
-    def test_cold_cache_equals_warm_cache(self, rate_cache):
-        warm = QueryService(_config(), rate_cache=rate_cache).run()
-        cold = QueryService(_config(), rate_cache={}).run()
-        payload_warm = warm.to_dict()
-        payload_cold = cold.to_dict()
-        # Cache hit counts differ by construction; everything
-        # observable about the simulation must not.
-        for payload in (payload_warm, payload_cold):
-            payload.pop("rate_cache_hits")
-            payload.pop("rate_solves")
-        assert payload_warm == payload_cold
+    def test_cold_cache_equals_warm_cache(self, solve_memo):
+        # The memo only elides model solves: each service still counts
+        # its own rate-cache misses, so even the counters match.
+        warm = QueryService(_config(), solve_memo=solve_memo).run()
+        cold = QueryService(_config(), solve_memo={}).run()
+        assert warm.to_json() == cold.to_json()
 
-    def test_different_seed_different_run(self, rate_cache):
+    def test_different_seed_different_run(self, solve_memo):
         a = QueryService(
-            _config(seed=1), rate_cache=rate_cache
+            _config(seed=1), solve_memo=solve_memo
         ).run()
         b = QueryService(
-            _config(seed=2), rate_cache=rate_cache
+            _config(seed=2), solve_memo=solve_memo
         ).run()
         assert a.to_json() != b.to_json()
 
 
 class TestQueueingAndShedding:
-    def test_overload_sheds(self, rate_cache):
+    def test_overload_sheds(self, solve_memo):
         report = QueryService(
             _config(rate_per_s=60.0, max_concurrency=2,
                     queue_depth=2, duration_s=2.0),
-            rate_cache=rate_cache,
+            solve_memo=solve_memo,
         ).run()
         assert report.shed > 0
         assert report.completed + report.shed == report.arrived
 
-    def test_latency_includes_queue_wait(self, rate_cache):
+    def test_latency_includes_queue_wait(self, solve_memo):
         light = QueryService(
-            _config(rate_per_s=2.0), rate_cache=rate_cache
+            _config(rate_per_s=2.0), solve_memo=solve_memo
         ).run()
         heavy = QueryService(
             _config(rate_per_s=40.0, queue_depth=32,
                     duration_s=3.0),
-            rate_cache=rate_cache,
+            solve_memo=solve_memo,
         ).run()
         assert (
             heavy.verdict_for("olap").p99_s
@@ -104,25 +99,25 @@ class TestQueueingAndShedding:
 
 
 class TestPolicies:
-    def test_static_enables_partitioning(self, rate_cache):
+    def test_static_enables_partitioning(self, solve_memo):
         service = QueryService(
-            _config(policy="static"), rate_cache=rate_cache
+            _config(policy="static"), solve_memo=solve_memo
         )
         assert service.cache_controller.enabled
         report = service.run()
         assert report.completed > 0
         assert not report.controller["enabled"]
 
-    def test_none_runs_unpartitioned(self, rate_cache):
-        service = QueryService(_config(), rate_cache=rate_cache)
+    def test_none_runs_unpartitioned(self, solve_memo):
+        service = QueryService(_config(), solve_memo=solve_memo)
         assert not service.cache_controller.enabled
         for cls in service._build_mix_schedule()[0][1].classes:
             assert service._mask_for(cls) == service.spec.full_mask
 
-    def test_adaptive_reconfigures_and_converges(self, rate_cache):
+    def test_adaptive_reconfigures_and_converges(self, solve_memo):
         report = QueryService(
             _config(policy="adaptive", duration_s=6.0),
-            rate_cache=rate_cache,
+            solve_memo=solve_memo,
         ).run()
         controller = report.controller
         assert controller["enabled"]
@@ -138,6 +133,25 @@ class TestPolicies:
         classes = service._build_mix_schedule()[0][1].classes
         for cls in classes:
             assert service._mask_for(cls) == service.spec.full_mask
+
+    def test_controller_reset_forgets_installed_masks(
+        self, solve_memo
+    ):
+        service = QueryService(
+            _config(policy="adaptive", duration_s=6.0),
+            solve_memo=solve_memo,
+        )
+        service.run()
+        controller = service.controller
+        classes = service._build_mix_schedule()[0][1].classes
+        full = service.spec.full_mask
+        assert any(controller.mask_for(cls) != full for cls in classes)
+        reconfigurations = controller.reconfigurations
+        controller.reset()
+        for cls in classes:
+            assert controller.mask_for(cls) == full
+        # The run's history is kept; only the installed state goes.
+        assert controller.reconfigurations == reconfigurations
 
 
 class TestReports:
@@ -158,9 +172,9 @@ class TestReports:
         with pytest.raises(ServeError):
             baseline_report.verdict_for("nobody")
 
-    def test_cache_control_stats_reported(self, rate_cache):
+    def test_cache_control_stats_reported(self, solve_memo):
         report = QueryService(
-            _config(policy="static"), rate_cache=rate_cache
+            _config(policy="static"), solve_memo=solve_memo
         ).run()
         stats = report.cache_control
         assert stats["associations_requested"] > 0
@@ -257,3 +271,34 @@ class TestConvergenceReporting:
         reused = second.run()
         assert reused.rate_solves == solved.rate_solves
         assert reused.unconverged_solves == solved.unconverged_solves
+
+
+class TestSolveSharing:
+    def test_warm_memo_across_concurrency_equals_cold(self):
+        # The same (class, mask, count) composition solves to different
+        # rates behind a different core count per slot, so a memo
+        # shared across max_concurrency values must not alias them.
+        memo: dict = {}
+        QueryService(_config(), solve_memo=memo).run()
+        overload = _config(rate_per_s=60.0, max_concurrency=2,
+                           queue_depth=2, duration_s=2.0)
+        warm = QueryService(overload, solve_memo=memo).run()
+        cold = QueryService(overload).run()
+        assert warm.rate_solves == cold.rate_solves
+        assert warm.to_json() == cold.to_json()
+
+    def test_reprogram_reassociates_and_reflows(self):
+        service = QueryService(_config(policy="static"))
+        cls = service._mix_schedule[0][1].classes[0]
+        service.accept(0.0, cls)
+        service.accept(0.1, cls)
+        stats = service.cache_controller.stats
+        requested = stats.associations_requested
+        epoch = service._state.epoch
+        service.reprogram(0.2)
+        running = len(service.admission.running)
+        assert running == 2
+        # One compare-before-set association per running request (the
+        # masks did not move, so no kernel call), then one reflow.
+        assert stats.associations_requested == requested + running
+        assert service._state.epoch == epoch + 1

@@ -7,7 +7,6 @@ import pytest
 
 from repro.errors import ServeError
 from repro.serve.slo import (
-    HISTOGRAM_ENGINES,
     LatencyHistogram,
     SloTarget,
     SloTracker,
@@ -113,40 +112,42 @@ class TestBucketBoundaries:
         )
 
 
-class TestEngineEquivalence:
-    @pytest.mark.parametrize("engine", HISTOGRAM_ENGINES)
-    def test_engine_validated(self, engine):
-        LatencyHistogram(engine=engine)
-        with pytest.raises(ServeError):
-            LatencyHistogram(engine="bogus")
-
-    def test_scalar_and_vector_identical(self):
+class TestBucketFiling:
+    def test_counts_match_bucket_index_oracle(self):
+        # Samples on, just below and beyond bucket bounds, plus the
+        # overflow bucket: every observation lands where the
+        # ``_bucket_index`` oracle says, counted once per observation.
+        bounds = LatencyHistogram.BOUNDS_S
         values = [0.0, 1e-6, 0.001, 0.0099, 0.01, 0.5, 3.2, 900.0]
-        scalar = LatencyHistogram(engine="scalar")
-        vector = LatencyHistogram(engine="vector")
+        values += [bounds[7], math.nextafter(bounds[7], 0.0)]
+        histogram = LatencyHistogram()
+        expected = [0] * (len(bounds) + 1)
         for value in values * 7:
-            scalar.observe(value)
-            vector.observe(value)
-        assert scalar.bucket_counts() == vector.bucket_counts()
-        for q in (0.5, 0.9, 0.95, 0.99):
-            assert scalar.quantile(q) == vector.quantile(q)
-        assert scalar.mean_s == vector.mean_s
-        assert scalar.max_s == vector.max_s
+            histogram.observe(value)
+            expected[LatencyHistogram._bucket_index(value)] += 1
+        assert histogram.bucket_counts() == tuple(expected)
+        assert histogram.total == len(values) * 7
+        assert histogram.max_s == 900.0
+        assert histogram.quantile(1.0) == 900.0
 
-    def test_cross_engine_merge(self):
-        scalar = LatencyHistogram(engine="scalar")
-        vector = LatencyHistogram(engine="vector")
+    def test_merge_equals_pooled_stream(self):
+        first = LatencyHistogram()
+        second = LatencyHistogram()
         for value in (0.01, 0.2, 5.0):
-            scalar.observe(value)
-            vector.observe(value)
-        merged = LatencyHistogram(engine="vector")
-        merged.merge(scalar)
-        merged.merge(vector)
-        assert sum(merged.bucket_counts()) == 6
-        reference = LatencyHistogram(engine="scalar")
-        for value in (0.01, 0.2, 5.0) * 2:
+            first.observe(value)
+        for value in (0.03, 0.2, 250.0):
+            second.observe(value)
+        merged = LatencyHistogram()
+        merged.merge(first)
+        merged.merge(second)
+        reference = LatencyHistogram()
+        for value in (0.01, 0.2, 5.0, 0.03, 0.2, 250.0):
             reference.observe(value)
         assert merged.bucket_counts() == reference.bucket_counts()
+        assert merged.total == reference.total == 6
+        assert merged.max_s == reference.max_s == 250.0
+        for q in (0.5, 0.9, 0.99):
+            assert merged.quantile(q) == reference.quantile(q)
 
 
 class TestSloTracker:
