@@ -22,7 +22,10 @@ Assertions:
 * the beam tick scores >= 1000 candidates while its warm wall time
   stays within the old scalar tick's cold budget — the 100x larger
   search space rides inside the tick budget the enumerated family
-  used to spend.
+  used to spend,
+* a repeat tick at the same rates builds no new neighborhood: every
+  frontier expansion is served by the planner's neighborhood store
+  (a count, so the gate is deterministic).
 
 Every run appends one record to ``BENCH_planner.json`` at the repo
 root so the speedups form a trajectory across commits.
@@ -37,6 +40,7 @@ from datetime import datetime, timezone
 
 from repro.cluster.workload import cluster_classes
 from repro.config import DEFAULT_SYSTEM
+from repro.obs import NULL_TRACER, MetricsRegistry, observing
 from repro.planner import (
     BlueprintScorer,
     FleetPlanner,
@@ -190,6 +194,16 @@ def test_batched_scoring_and_beam_tick_speedups():
     tick_candidates = planner.search_totals["candidates_scored"]
     warm_tick_s = _best_of(lambda: planner.tick(4.0, []), reps=5)
 
+    # One more repeat tick, counted: the frontier's neighborhoods
+    # must all come from the store the earlier ticks filled.
+    with observing(NULL_TRACER, MetricsRegistry()) as (_, registry):
+        planner.tick(4.0, [])
+    counters = registry.snapshot()["counters"]
+    repeat_expansions = counters["planner.search.expansions"]
+    repeat_built = (
+        repeat_expansions - counters["planner.search.expansion_hits"]
+    )
+
     record = {
         "created_at": datetime.now(timezone.utc).isoformat(
             timespec="seconds"
@@ -203,6 +217,8 @@ def test_batched_scoring_and_beam_tick_speedups():
         "beam_tick_cold_ms": round(cold_tick_s * 1e3, 3),
         "beam_tick_warm_ms": round(warm_tick_s * 1e3, 3),
         "beam_candidates_per_tick": tick_candidates,
+        "repeat_tick_expansions": repeat_expansions,
+        "repeat_tick_neighborhoods_built": repeat_built,
     }
     _append_trajectory(record)
     print(f"bench_planner: {json.dumps(record)}")
@@ -221,4 +237,9 @@ def test_batched_scoring_and_beam_tick_speedups():
         f"warm beam tick {warm_tick_s * 1e3:.3f}ms exceeds the old "
         f"scalar tick's cold budget {old_tick_s * 1e3:.3f}ms — the "
         f"larger search space must ride inside the old tick cost"
+    )
+    assert repeat_expansions > 0 and repeat_built == 0, (
+        f"repeat beam tick built {repeat_built} of "
+        f"{repeat_expansions} neighborhoods, need 0 — the planner's "
+        f"neighborhood store must carry them across ticks"
     )

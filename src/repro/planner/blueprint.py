@@ -57,6 +57,13 @@ RHO_CAP = 0.95
 #: Weight of the overload penalty relative to the latency objective.
 OVERLOAD_WEIGHT = 10.0
 
+#: Bounds of the scorer's per-candidate encoding cache and per-
+#: population encoding cache; each is cleared when full.  A planned
+#: fleet run meets a few thousand distinct candidates, so long runs
+#: stay bounded without clearing on ordinary ones.
+ENCODING_CACHE_SIZE = 8192
+POPULATION_CACHE_SIZE = 64
+
 
 def preferred_node(home: tuple[int, ...], index: int) -> int:
     """The deterministic home of tenant ``index`` within its group's
@@ -592,6 +599,8 @@ class BlueprintScorer:
         cache_key = (blueprint.key(), table.names)
         encoding = self._encodings.get(cache_key)
         if encoding is None:
+            if len(self._encodings) >= ENCODING_CACHE_SIZE:
+                self._encodings.clear()
             placement = blueprint.placement_map()
             all_nodes = tuple(range(blueprint.nodes))
             bits = [0] * blueprint.nodes
@@ -691,7 +700,7 @@ class BlueprintScorer:
         entry = self._populations.get(key)
         if entry is not None:
             return entry
-        if len(self._populations) >= 64:
+        if len(self._populations) >= POPULATION_CACHE_SIZE:
             # Beam rounds score transient populations; don't let their
             # encodings accumulate without bound.
             self._populations.clear()

@@ -238,6 +238,9 @@ class FleetPlanner:
         self.decisions: list[PlanDecision] = []
         self._window_cursor = 0
         self._search_config = config.search_config()
+        # Built beam-search neighborhoods, kept for the whole run:
+        # successive ticks expand mostly the same origins.
+        self._neighborhoods: dict = {}
         # Cumulative search accounting for the report's ``search``
         # block — counts only; wall time goes to metrics so reports
         # stay byte-identical across machines and job counts.
@@ -293,6 +296,7 @@ class FleetPlanner:
                 self._search_config,
                 min_nodes=self.nodes,
                 max_nodes=self.nodes,
+                neighborhoods=self._neighborhoods,
             )
             entries = list(result.entries.values())
             search = result.stats
@@ -306,16 +310,9 @@ class FleetPlanner:
             )
             incumbent_entry = result.get(self.current)
         else:
-            batch = self.scorer.score_many(self.candidates, rates)
-            entries = [
-                ScoredEntry(
-                    blueprint=candidate,
-                    score=float(batch.scores[row]),
-                    batch=batch,
-                    row=row,
-                )
-                for row, candidate in enumerate(batch.blueprints)
-            ]
+            entries = ScoredEntry.from_batch(
+                self.scorer.score_many(self.candidates, rates)
+            )
             self.search_totals["candidates_scored"] += len(entries)
             incumbent_entry = None
             for entry in entries:
@@ -336,14 +333,9 @@ class FleetPlanner:
         # candidates tied at the lowest rounded score: identical
         # outcome to ranking every candidate with the full tuple,
         # without a plan_transition per scored candidate.
-        rounded = [round(entry.score, 9) for entry in entries]
-        lowest = min(rounded)
+        lowest = min(entry.rank[0] for entry in entries)
         best = min(
-            (
-                entry
-                for entry, value in zip(entries, rounded)
-                if value == lowest
-            ),
+            (entry for entry in entries if entry.rank[0] == lowest),
             key=lambda entry: (
                 self._moves_between(entry.blueprint),
                 entry.blueprint.key(),

@@ -22,16 +22,26 @@ round's neighborhood exceeds the remaining ``max_candidates`` budget
 the same candidates in the same order.  Because the seed frontier is
 scored too, the search winner can never rank worse than the
 enumerated best.
+
+A neighborhood depends on its origin blueprint and the node bounds
+alone — never on rates — so a caller that searches repeatedly (the
+planner, once per tick) passes one long-lived neighborhood store and
+each origin's neighbors are built once per run instead of once per
+round.  The store only skips rebuilding: the candidates, their order
+and therefore every search result are the same with or without it.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
 from .. import seeding
 from ..errors import PlannerError
+from ..obs import runtime
 from .blueprint import (
     BLUEPRINT_SCHEMES,
     BatchScores,
@@ -43,6 +53,11 @@ from .blueprint import (
 #: Search strategies the planner accepts: the legacy bounded
 #: enumeration and beam/local search seeded by it.
 SEARCH_STRATEGIES = ("enum", "beam")
+
+#: Neighborhoods a store keeps before it is cleared.  A planned fleet
+#: run expands a few hundred distinct origins, so the bound only
+#: matters for very long or very wide runs.
+NEIGHBORHOOD_STORE_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -106,13 +121,29 @@ class SearchStats:
 
 @dataclass(frozen=True)
 class ScoredEntry:
-    """One evaluated candidate: its ranking scalar plus a handle back
-    into the batch it was scored in (full scores materialize lazily)."""
+    """One evaluated candidate: its ranking scalar, its rank in the
+    search's total order ``(round(score, 9), blueprint.key())`` and a
+    handle back into the batch it was scored in (full scores
+    materialize lazily)."""
 
     blueprint: Blueprint
     score: float
+    rank: tuple
     batch: BatchScores
     row: int
+
+    @classmethod
+    def from_batch(cls, batch: BatchScores) -> list["ScoredEntry"]:
+        """One entry per scored candidate, ranked once here."""
+        return [
+            cls(
+                blueprint, score, (round(score, 9), blueprint.key()),
+                batch, row,
+            )
+            for row, (blueprint, score) in enumerate(
+                zip(batch.blueprints, batch.scores.tolist())
+            )
+        ]
 
     def materialize(self) -> BlueprintScore:
         return self.batch.materialize(self.row)
@@ -333,10 +364,6 @@ def neighborhood(
 # -- the search --------------------------------------------------------
 
 
-def _rank(entry: ScoredEntry) -> tuple:
-    return (round(entry.score, 9), entry.blueprint.key())
-
-
 def beam_search(
     scorer: BlueprintScorer,
     rates: dict,
@@ -345,6 +372,7 @@ def beam_search(
     min_nodes: int | None = None,
     max_nodes: int | None = None,
     jobs: int | None = None,
+    neighborhoods: dict | None = None,
 ) -> SearchResult:
     """Deterministic beam search seeded by ``seeds``.
 
@@ -353,42 +381,61 @@ def beam_search(
     neighborhoods for up to ``steps`` rounds, stopping early when a
     round produces nothing new or the ``max_candidates`` budget is
     spent.  All scoring goes through the batched pipeline.
+
+    ``neighborhoods`` is a store of built neighborhoods keyed by
+    ``(origin key, min_nodes, max_nodes)``, shared across calls and
+    cleared once it holds :data:`NEIGHBORHOOD_STORE_SIZE` of them;
+    without one, a per-call store is used.
     """
     result = SearchResult()
     entries = result.entries
     stats = result.stats
+    if neighborhoods is None:
+        neighborhoods = {}
+    expansions = 0
+    expansion_hits = 0
 
-    def evaluate(blueprints: list[Blueprint]) -> None:
+    def evaluate(blueprints: list[Blueprint]) -> tuple:
+        """Score ``blueprints``; return the best rank among them."""
         batch = scorer.score_many(blueprints, rates, jobs=jobs)
-        for row, blueprint in enumerate(batch.blueprints):
-            entries[blueprint.key()] = ScoredEntry(
-                blueprint=blueprint,
-                score=float(batch.scores[row]),
-                batch=batch,
-                row=row,
-            )
-        stats.candidates_scored += len(batch.blueprints)
+        scored = ScoredEntry.from_batch(batch)
+        for entry in scored:
+            entries[entry.blueprint.key()] = entry
+        stats.candidates_scored += len(scored)
+        return min(entry.rank for entry in scored)
 
     unique_seeds: dict[tuple, Blueprint] = {}
     for seed in seeds:
         unique_seeds.setdefault(seed.key(), seed)
     if not unique_seeds:
         raise PlannerError("beam search needs at least one seed")
-    evaluate(list(unique_seeds.values()))
-    best_rank = min(_rank(e) for e in entries.values())
+    best_rank = evaluate(list(unique_seeds.values()))
 
     for round_index in range(config.steps):
         budget = config.max_candidates - stats.candidates_scored
         if budget <= 0:
             break
-        frontier = sorted(entries.values(), key=_rank)
-        frontier = frontier[:config.beam_width]
+        # Ranks are unique (keys are), so this is exactly
+        # ``sorted(...)[:beam_width]``.
+        frontier = heapq.nsmallest(
+            config.beam_width, entries.values(),
+            key=attrgetter("rank"),
+        )
         fresh: list[Blueprint] = []
         pending: set[tuple] = set()
+        expansions += len(frontier)
         for entry in frontier:
-            for candidate in neighborhood(
-                entry.blueprint, min_nodes, max_nodes
-            ):
+            store_key = (entry.blueprint.key(), min_nodes, max_nodes)
+            moves = neighborhoods.get(store_key)
+            if moves is None:
+                if len(neighborhoods) >= NEIGHBORHOOD_STORE_SIZE:
+                    neighborhoods.clear()
+                moves = neighborhoods[store_key] = neighborhood(
+                    entry.blueprint, min_nodes, max_nodes
+                )
+            else:
+                expansion_hits += 1
+            for candidate in moves:
                 key = candidate.key()
                 if key in entries or key in pending:
                     continue
@@ -408,10 +455,14 @@ def beam_search(
             ).tolist())
             stats.truncated += len(fresh) - budget
             fresh = [fresh[index] for index in chosen]
-        evaluate(fresh)
+        round_best = evaluate(fresh)
         stats.rounds += 1
-        round_best = min(_rank(e) for e in entries.values())
         if round_best < best_rank:
             best_rank = round_best
             stats.frontier_improvements += 1
+    metrics = runtime.metrics
+    metrics.counter("planner.search.expansions").inc(expansions)
+    metrics.counter("planner.search.expansion_hits").inc(
+        expansion_hits
+    )
     return result

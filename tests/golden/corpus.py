@@ -1,6 +1,6 @@
 """Golden report corpus: canonical-report digests pinned across commits.
 
-Every scenario below runs a short (about two simulated seconds)
+Every scenario below runs a short (two to four simulated seconds)
 service or fleet simulation through the public API and reduces its
 canonical report to a SHA-256 digest plus per-tenant p50/p99
 summaries.  ``digests.json`` next to this file records the expected
@@ -70,9 +70,8 @@ def _cluster(**knobs):
     from repro.cluster import Cluster, ClusterConfig
 
     knobs.setdefault("nodes", 3)
-    return Cluster(ClusterConfig(
-        duration_s=DURATION_S, seed=SEED, **knobs
-    )).run()
+    knobs.setdefault("duration_s", DURATION_S)
+    return Cluster(ClusterConfig(seed=SEED, **knobs)).run()
 
 
 def _cluster_faulted(router: str):
@@ -83,10 +82,11 @@ def _cluster_faulted(router: str):
     )
 
 
-def _planned(search: str):
+def _planned(search: str, **knobs):
+    knobs.setdefault("plan_interval_s", 0.5)
     return _cluster(
         router="planned", policy="planned", mix="shift",
-        profile="diurnal", plan_interval_s=0.5, plan_search=search,
+        profile="diurnal", plan_search=search, **knobs,
     )
 
 
@@ -120,6 +120,13 @@ def scenarios() -> dict[str, Callable]:
         matrix[f"planned-{search}"] = (
             lambda search=search: _planned(search)
         )
+    # Many beam ticks over drifting rates, with a candidate budget
+    # small enough that the seeded subsample fires: locks the search
+    # state the planner carries from one tick to the next.
+    matrix["planned-beam-long"] = lambda: _planned(
+        "beam", duration_s=2 * DURATION_S, plan_interval_s=0.25,
+        plan_search_candidates=300,
+    )
     for mode in ("jail", "evict"):
         matrix[f"defense-{mode}"] = lambda mode=mode: _defended(mode)
     matrix["serve-sampled"] = lambda: _serve(

@@ -6,16 +6,21 @@ import pytest
 from repro.cluster.workload import cluster_classes
 from repro.config import DEFAULT_SYSTEM
 from repro.errors import PlannerError
+from repro.obs import NULL_TRACER, MetricsRegistry, observing
 from repro.planner import (
     BLUEPRINT_SCHEMES,
     Blueprint,
     BlueprintScorer,
+    FleetPlanner,
+    PlannerConfig,
     SearchConfig,
     beam_search,
     enumerate_blueprints,
     neighborhood,
     spread_blueprint,
 )
+from repro.planner import blueprint as blueprint_module
+from repro.planner import search as search_module
 from repro.planner.search import (
     move_replica_moves,
     node_count_moves,
@@ -282,3 +287,215 @@ class TestBeamSearch:
                 _scorer(), _rates(), (),
                 SearchConfig(strategy="beam"),
             )
+
+
+def _drifting_rates():
+    """Five forecasts drifting from OLAP-heavy toward batch-heavy."""
+    return [
+        _rates(batch=4.0 + 6.0 * step, olap=20.0 - 3.0 * step,
+               oltp=8.0 + step)
+        for step in range(5)
+    ]
+
+
+def _search_trace(calls, store_for):
+    """Run ``beam_search`` once per ``(rates, min_nodes, max_nodes)``
+    call on one scorer; ``store_for()`` supplies each call's
+    neighborhood store.  Returns everything a search result shows:
+    entry keys in evaluation order, scores, ranks and stats."""
+    scorer = _scorer()
+    trace = []
+    for rates, seeds, config, min_nodes, max_nodes in calls:
+        result = beam_search(
+            scorer, rates, seeds, config,
+            min_nodes=min_nodes, max_nodes=max_nodes,
+            neighborhoods=store_for(),
+        )
+        trace.append((
+            list(result.entries),
+            [entry.score for entry in result.entries.values()],
+            [entry.rank for entry in result.entries.values()],
+            result.stats.to_dict(),
+        ))
+    return trace
+
+
+class TestNeighborhoodStore:
+    # A store shared across calls only skips rebuilding: every call
+    # must see exactly what a fresh per-call store gives it.
+
+    def _assert_shared_equals_fresh(self, calls):
+        shared: dict = {}
+        reused = _search_trace(calls, lambda: shared)
+        fresh = _search_trace(calls, lambda: None)
+        assert reused == fresh
+        assert shared
+        return fresh
+
+    def test_truncating_budget_reuse_equals_fresh(self):
+        seeds = enumerate_blueprints(4, GROUPS)
+        config = SearchConfig(
+            strategy="beam", beam_width=8, steps=3,
+            max_candidates=len(seeds) + 40, seed=5,
+        )
+        trace = self._assert_shared_equals_fresh([
+            (rates, seeds, config, 4, 4)
+            for rates in _drifting_rates()
+        ])
+        # The seeded subsample fired on every call.
+        assert all(stats["truncated"] > 0 for *_, stats in trace)
+
+    def test_node_range_reuse_equals_fresh(self):
+        seeds = enumerate_blueprints(3, GROUPS)
+        config = SearchConfig(
+            strategy="beam", beam_width=4, steps=3,
+            max_candidates=400, seed=1,
+        )
+        calls = [
+            (rates, seeds, config, 2, 4) for rates in _drifting_rates()
+        ]
+        trace = self._assert_shared_equals_fresh(calls)
+        node_counts = {
+            len(schemes) for keys, *_ in trace for _, schemes in keys
+        }
+        assert node_counts == {2, 3, 4}
+
+    def test_node_bounds_do_not_alias(self):
+        seeds = enumerate_blueprints(3, GROUPS)
+        config = SearchConfig(
+            strategy="beam", beam_width=4, steps=2,
+            max_candidates=300, seed=2,
+        )
+        calls = [
+            (rates, seeds, config, *bounds)
+            for rates in _drifting_rates()[:3]
+            for bounds in ((3, 3), (2, 4), (3, 4))
+        ]
+        self._assert_shared_equals_fresh(calls)
+        store: dict = {}
+        for bounds in ((3, 3), (2, 4)):
+            beam_search(
+                _scorer(), _rates(), seeds, config,
+                min_nodes=bounds[0], max_nodes=bounds[1],
+                neighborhoods=store,
+            )
+        origin = seeds[0].key()
+        pinned = store[(origin, 3, 3)]
+        ranged = store[(origin, 2, 4)]
+        assert pinned == neighborhood(seeds[0], 3, 3)
+        assert ranged == neighborhood(seeds[0], 2, 4)
+        assert len(ranged) > len(pinned)
+
+    def test_store_stays_under_its_bound(self, monkeypatch):
+        seeds = enumerate_blueprints(4, GROUPS)
+        config = SearchConfig(
+            strategy="beam", beam_width=6, steps=3,
+            max_candidates=500, seed=0,
+        )
+        calls = [
+            (rates, seeds, config, 3, 5) for rates in _drifting_rates()
+        ]
+        unbounded: dict = {}
+        fresh = _search_trace(calls, lambda: unbounded)
+        bound = 7
+        assert len(unbounded) > bound
+        monkeypatch.setattr(
+            search_module, "NEIGHBORHOOD_STORE_SIZE", bound
+        )
+        store: dict = {}
+        sizes = []
+
+        def _checked_store():
+            sizes.append(len(store))
+            return store
+
+        assert _search_trace(calls, _checked_store) == fresh
+        sizes.append(len(store))
+        assert max(sizes) <= bound
+
+    def test_expansion_counters(self):
+        seeds = enumerate_blueprints(4, GROUPS)
+        config = SearchConfig(
+            strategy="beam", beam_width=4, steps=3,
+            max_candidates=500, seed=0,
+        )
+        scorer = _scorer()
+        store: dict = {}
+        counts = []
+        for _ in range(2):
+            with observing(NULL_TRACER, MetricsRegistry()) as (
+                _, registry
+            ):
+                result = beam_search(
+                    scorer, _rates(), seeds, config,
+                    min_nodes=4, max_nodes=4, neighborhoods=store,
+                )
+            counters = registry.snapshot()["counters"]
+            counts.append((
+                counters["planner.search.expansions"],
+                counters["planner.search.expansion_hits"],
+            ))
+            # Metrics only: the report-bound stats never carry them.
+            assert "expansions" not in result.stats.to_dict()
+        (first, first_hits), (second, second_hits) = counts
+        assert first > 0 and first_hits < first
+        # Same rates again: every expansion is served by the store.
+        assert second == first and second_hits == second
+
+
+#: Twelve 0.5 s windows whose mix swings from OLAP- to batch-heavy.
+DRIFTING_WINDOWS = [
+    {
+        "scan": 2 + 3 * index,
+        "agg": 12 - index,
+        "join": 10 - index // 2,
+        "oltp": 6 + (index % 4),
+    }
+    for index in range(12)
+]
+
+
+def _planner_run(ticks=12, before_tick=None):
+    planner = FleetPlanner(
+        PlannerConfig(
+            search="beam", interval_s=0.5, window_s=0.5,
+            period_s=4.0, horizon_s=1.0, search_candidates=300,
+        ),
+        _scorer(),
+        nodes=4,
+        tenants_per_group=4,
+    )
+    for tick in range(1, ticks + 1):
+        if before_tick is not None:
+            before_tick(planner)
+        planner.tick(0.5 * tick, DRIFTING_WINDOWS)
+    return planner
+
+
+class TestPlannerReuse:
+    def test_reused_store_equals_cleared_store_every_tick(self):
+        reused = _planner_run()
+        cleared = _planner_run(
+            before_tick=lambda planner: planner._neighborhoods.clear()
+        )
+        assert reused.ticks == 12
+        assert reused.stats() == cleared.stats()
+        assert reused.stats()["search"]["truncated"] > 0
+        assert reused.reconfigurations >= 1
+
+    def test_encoding_cache_stays_under_its_bound(self, monkeypatch):
+        unbounded = _planner_run()
+        bound = 200
+        assert len(unbounded.scorer._encodings) > bound
+        monkeypatch.setattr(
+            blueprint_module, "ENCODING_CACHE_SIZE", bound
+        )
+        sizes = []
+        bounded = _planner_run(
+            before_tick=lambda planner: sizes.append(
+                len(planner.scorer._encodings)
+            )
+        )
+        sizes.append(len(bounded.scorer._encodings))
+        assert max(sizes) <= bound
+        assert bounded.stats() == unbounded.stats()
