@@ -8,10 +8,10 @@ thrasher from t=1s at 20 req/s) and asserts the two defense gates:
   OLAP p99 must come in at or under ``MAX_DEFENDED_P99_RATIO`` of the
   undefended run's,
 * **defense-off overhead** — a fleet with no attacks and the defense
-  layer off must sustain at least ``MIN_OFF_RATE_RATIO`` of the most
-  recent 4-node events/s recorded in ``BENCH_serve.json`` (skipped
-  when no trajectory exists): carrying the defense code paths may not
-  tax undefended runs.
+  layer off must run within ``1 / MIN_OFF_RATE_RATIO`` of the most
+  recent 4-node wall time ``BENCH_serve.json`` recorded for the
+  identical config (skipped when no such row exists): carrying the
+  defense code paths may not tax undefended runs.
 
 A determinism check runs the defended config twice and requires
 byte-identical reports before any number is trusted.
@@ -27,6 +27,7 @@ import pathlib
 import time
 from datetime import datetime, timezone
 
+from bench_serve import last_recorded_fleet_wall
 from repro.cluster import Cluster, ClusterConfig
 from repro.defense import AttackSpec
 
@@ -53,7 +54,7 @@ DEFENSE_BASE = dict(
 )
 
 # The undefended baseline config bench_serve.py records at N=4 —
-# identical knobs, so the events/s comparison isolates the defense
+# identical knobs, so the wall-time comparison isolates the defense
 # layer's overhead on runs that never touch it.
 OFF_BASE = dict(
     router="least-loaded",
@@ -79,23 +80,6 @@ def _append_trajectory(record: dict) -> None:
     TRAJECTORY.write_text(
         json.dumps(history, indent=2) + "\n", encoding="utf-8"
     )
-
-
-def _last_serve_fleet_rate(nodes: int):
-    """Most recent bench_serve events/s for a ``nodes``-node fleet."""
-    if not SERVE_TRAJECTORY.exists():
-        return None
-    try:
-        history = json.loads(
-            SERVE_TRAJECTORY.read_text(encoding="utf-8")
-        )
-    except (OSError, json.JSONDecodeError):
-        return None
-    for record in reversed(history):
-        for row in record.get("cluster_scaling", ()):
-            if row.get("nodes") == nodes:
-                return row.get("events_per_s")
-    return None
 
 
 def _run_defended(defense: str):
@@ -147,7 +131,9 @@ def test_defense_protects_victims():
 
 def test_defense_off_overhead():
     """Undefended fleets must not pay for the defense layer."""
-    baseline = _last_serve_fleet_rate(4)
+    baseline = last_recorded_fleet_wall(
+        SERVE_TRAJECTORY, {k: OFF_BASE[k] for k in sorted(OFF_BASE)}, 4
+    )
 
     config = ClusterConfig(nodes=4, **OFF_BASE)
     Cluster(ClusterConfig(nodes=4, **OFF_BASE)).run()  # warm caches
@@ -167,7 +153,7 @@ def test_defense_off_overhead():
         "events": events,
         "wall_s": round(elapsed, 4),
         "events_per_s": round(rate, 1),
-        "serve_baseline_events_per_s": baseline,
+        "serve_baseline_wall_s": baseline,
     }
     _append_trajectory(record)
     print(f"bench_defense off: {json.dumps(record)}")
@@ -181,13 +167,12 @@ def test_defense_off_overhead():
     }
     if baseline is None:
         print(
-            "bench_defense: no recorded 4-node rate in "
-            "BENCH_serve.json — overhead gate skipped"
+            "bench_defense: no recorded 4-node wall time for this "
+            "config in BENCH_serve.json — overhead gate skipped"
         )
         return
-    floor = baseline * MIN_OFF_RATE_RATIO
-    assert rate >= floor, (
-        f"defense-off overhead: {rate:.0f} events/s, below "
-        f"{floor:.0f} ({MIN_OFF_RATE_RATIO}x the recorded "
-        f"{baseline:.0f})"
+    ceiling = baseline / MIN_OFF_RATE_RATIO
+    assert elapsed <= ceiling, (
+        f"defense-off overhead: {elapsed:.3f}s, above {ceiling:.3f}s "
+        f"(1/{MIN_OFF_RATE_RATIO} of the recorded {baseline:.3f}s)"
     )

@@ -21,9 +21,11 @@ and asserts the two guard rails:
   is a dictionary merge plus an occasional rate re-solve).
 
 Fleet benches ride along: least-loaded scaling rows at N=1/2/4 with
-anti-scaling and trajectory-baseline gates, and hash-router
-epoch-parallel rows at N=8/16 with a ``fleet_jobs=4`` speedup gate
-(>= 2x sequential at N=8, asserted only on >= 4-CPU runners).
+anti-scaling and trajectory-baseline gates, an event-core row for the
+N=4 fleet (every node-queue pop is a real event; wall time split by
+layer), and hash-router epoch-parallel rows at N=8/16 with a
+``fleet_jobs=4`` speedup gate (>= 2x sequential at N=8, asserted only
+on >= 4-CPU runners).
 
 A determinism check runs the baseline config twice and requires
 byte-identical reports before any timing is trusted.
@@ -47,9 +49,9 @@ MIN_EVENTS_PER_S = 500.0
 MAX_CONTROLLER_OVERHEAD = 3.0
 
 # Fleet scaling guards: consecutive node counts must not lose more
-# than 10% events/s (the anti-scaling regression this catches dropped
-# N=4 to 0.81x of N=2), and N=4 must stay within 20% of the last
-# recorded trajectory baseline.
+# than 10% requests/s (the anti-scaling regression this catches dropped
+# N=4 to 0.81x of N=2), and N=4 must run within 1/0.8 of the wall time
+# last recorded for the identical config.
 MIN_SCALING_SLACK = 0.9
 BASELINE_SLACK = 0.8
 MAX_SAMPLED_SMOKE_WALL_S = 60.0
@@ -169,18 +171,28 @@ CLUSTER_BASE = dict(
 )
 
 
-def _last_recorded_fleet_rate(nodes: int):
-    """Most recent trajectory events/s for a ``nodes``-node fleet."""
-    if not TRAJECTORY.exists():
+def last_recorded_fleet_wall(
+    trajectory: pathlib.Path, config: dict, nodes: int
+):
+    """Most recent ``cluster_scaling`` wall time for a ``nodes``-node
+    fleet of exactly ``config`` in a trajectory file (None if absent).
+
+    Event counts measure the event core's own bookkeeping, so they
+    move whenever it changes; wall time at an identical config moves
+    only with the cost of the same work.
+    """
+    if not trajectory.exists():
         return None
     try:
-        history = json.loads(TRAJECTORY.read_text(encoding="utf-8"))
+        history = json.loads(trajectory.read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError):
         return None
     for record in reversed(history):
+        if record.get("config") != config:
+            continue
         for row in record.get("cluster_scaling", ()):
             if row.get("nodes") == nodes:
-                return row.get("events_per_s")
+                return row.get("wall_s")
     return None
 
 
@@ -198,21 +210,24 @@ def _timed_cluster(nodes: int):
 
 
 def test_cluster_fleet_scaling():
-    """Cluster scaling row: fleet events/s at N=1, 2, 4 nodes.
+    """Cluster scaling row: fleet requests/s at N=1, 2, 4 nodes.
 
-    The offered rate is per source node, so total load (and the event
-    count) grows with N — the row tracks how fleet wall time scales
-    with fleet size, not a fixed-work speedup.  Three gates:
+    The offered rate is per source node, so total load (and the
+    request count) grows with N — the row tracks how fleet wall time
+    scales with fleet size, not a fixed-work speedup.  Three gates:
 
     * determinism: the same config twice must produce byte-identical
       fleet reports before any timing is trusted,
-    * anti-scaling: events/s must be monotone non-decreasing in N
-      (within ``MIN_SCALING_SLACK`` timer noise) — a bigger fleet
-      doing *more total work per wall second* is the whole point,
-    * baseline: N=4 events/s must stay within ``BASELINE_SLACK`` of
-      the most recent rate recorded in the trajectory file.
+    * anti-scaling: ``(generated + completed) / wall_s`` must be
+      monotone non-decreasing in N (within ``MIN_SCALING_SLACK`` timer
+      noise) — a bigger fleet doing *more total work per wall second*
+      is the whole point,
+    * baseline: N=4 wall time must stay within ``1 / BASELINE_SLACK``
+      of the most recent wall time recorded for the identical config.
     """
-    baseline_n4 = _last_recorded_fleet_rate(CLUSTER_NODE_COUNTS[-1])
+    baseline_n4 = last_recorded_fleet_wall(
+        TRAJECTORY, _cluster_record_config(), CLUSTER_NODE_COUNTS[-1]
+    )
 
     _, _, first = _timed_cluster(2)
     _, _, second = _timed_cluster(2)
@@ -221,19 +236,21 @@ def test_cluster_fleet_scaling():
     scaling = []
     for nodes in CLUSTER_NODE_COUNTS:
         elapsed, events, report = _timed_cluster(nodes)
+        work = report.generated + report.completed
         scaling.append({
             "nodes": nodes,
             "events": events,
             "completed": report.completed,
             "wall_s": round(elapsed, 4),
             "events_per_s": round(events / elapsed, 1),
+            "requests_per_s": round(work / elapsed, 1),
         })
 
     record = {
         "created_at": datetime.now(timezone.utc).isoformat(
             timespec="seconds"
         ),
-        "config": {k: CLUSTER_BASE[k] for k in sorted(CLUSTER_BASE)},
+        "config": _cluster_record_config(),
         "cluster_scaling": scaling,
     }
     _append_trajectory(record)
@@ -243,24 +260,128 @@ def test_cluster_fleet_scaling():
         assert row["completed"] > 0, row
 
     for prev, cur in zip(scaling, scaling[1:]):
-        floor = prev["events_per_s"] * MIN_SCALING_SLACK
-        assert cur["events_per_s"] >= floor, (
+        floor = prev["requests_per_s"] * MIN_SCALING_SLACK
+        assert cur["requests_per_s"] >= floor, (
             f"fleet anti-scaling: {cur['nodes']} nodes ran at "
-            f"{cur['events_per_s']:.0f} events/s, below "
-            f"{floor:.0f} ({MIN_SCALING_SLACK}x the "
+            f"{cur['requests_per_s']:.0f} (generated + completed)/s, "
+            f"below {floor:.0f} ({MIN_SCALING_SLACK}x the "
             f"{prev['nodes']}-node rate of "
-            f"{prev['events_per_s']:.0f})"
+            f"{prev['requests_per_s']:.0f})"
         )
 
     if baseline_n4 is not None:
-        current = scaling[-1]["events_per_s"]
-        floor = baseline_n4 * BASELINE_SLACK
-        assert current >= floor, (
+        current = scaling[-1]["wall_s"]
+        ceiling = baseline_n4 / BASELINE_SLACK
+        assert current <= ceiling, (
             f"fleet baseline regression: {CLUSTER_NODE_COUNTS[-1]} "
-            f"nodes ran at {current:.0f} events/s, below "
-            f"{floor:.0f} ({BASELINE_SLACK}x the last recorded "
-            f"{baseline_n4:.0f})"
+            f"nodes ran in {current:.3f}s, above {ceiling:.3f}s "
+            f"(1/{BASELINE_SLACK} of the last recorded "
+            f"{baseline_n4:.3f}s)"
         )
+
+
+def _cluster_record_config() -> dict:
+    return {k: CLUSTER_BASE[k] for k in sorted(CLUSTER_BASE)}
+
+
+class _LayerClock:
+    """Busy and self wall time of a few wrapped entry points.
+
+    Each wrapped call adds its duration to its layer's busy time and,
+    minus the time of wrapped calls nested inside it, to its self
+    time — so ``model`` inside a ``serve`` dispatch counts once.
+    """
+
+    def __init__(self) -> None:
+        self.busy: dict[str, float] = {}
+        self.self_s: dict[str, float] = {}
+        self._nested = [0.0]
+
+    def wrap(self, owner, attr: str, layer: str):
+        original = getattr(owner, attr)
+        clock = self
+
+        def timed(*args, **kwargs):
+            clock._nested.append(0.0)
+            started = time.perf_counter()
+            try:
+                return original(*args, **kwargs)
+            finally:
+                elapsed = time.perf_counter() - started
+                inner = clock._nested.pop()
+                clock._nested[-1] += elapsed
+                clock.busy[layer] = clock.busy.get(layer, 0.0) + elapsed
+                clock.self_s[layer] = (
+                    clock.self_s.get(layer, 0.0) + elapsed - inner
+                )
+
+        setattr(owner, attr, timed)
+        return original
+
+
+def test_cluster_event_core_layers():
+    """Event-core row: the N=4 scaling fleet with its layer split.
+
+    Deterministic gate: every node-queue pop is a real event — a
+    completion or a controller tick — so no superseded completion is
+    ever scheduled into the heap or popped.  The wall time is split
+    into the model solve, the node services' own time (accept and
+    dispatch, model excluded) and the fleet loop's own time.
+    """
+    from repro.model.simulator import WorkloadSimulator
+
+    nodes = CLUSTER_NODE_COUNTS[-1]
+    config = ClusterConfig(nodes=nodes, **CLUSTER_BASE)
+    layers = _LayerClock()
+    targets = (
+        (WorkloadSimulator, "simulate", "model"),
+        (QueryService, "accept", "serve"),
+        (QueryService, "dispatch", "serve"),
+    )
+    originals = [
+        (owner, attr, layers.wrap(owner, attr, layer))
+        for owner, attr, layer in targets
+    ]
+    try:
+        started = time.perf_counter()
+        report = Cluster(config).run()
+        elapsed = time.perf_counter() - started
+    finally:
+        for owner, attr, original in originals:
+            setattr(owner, attr, original)
+
+    pops = sum(r.events["popped"] for r in report.node_reports)
+    completed = sum(r.completed for r in report.node_reports)
+    ticks = sum(
+        r.controller.get("ticks", 0) for r in report.node_reports
+    )
+    record = {
+        "created_at": datetime.now(timezone.utc).isoformat(
+            timespec="seconds"
+        ),
+        "config": _cluster_record_config(),
+        "event_core": {
+            "nodes": nodes,
+            "generated": report.generated,
+            "completed": completed,
+            "queue_pops": pops,
+            "control_ticks": ticks,
+            "wall_s": round(elapsed, 4),
+            "model.busy_s": round(layers.busy.get("model", 0.0), 4),
+            "serve.self_s": round(layers.self_s.get("serve", 0.0), 4),
+            "cluster.self_s": round(
+                elapsed - layers.busy.get("serve", 0.0), 4
+            ),
+        },
+    }
+    _append_trajectory(record)
+    print(f"bench_serve event core: {json.dumps(record)}")
+
+    assert completed > 0
+    assert pops == completed + ticks, (
+        f"{pops} node-queue pops for {completed} completions and "
+        f"{ticks} controller ticks: stale events reached the heap"
+    )
 
 
 # Epoch-parallel gates: with >= 4 CPUs, a 4-worker hash-router fleet
@@ -493,8 +614,8 @@ def test_serve_sampled_trace_smoke():
 # multi-segment composition.  Gates: the model fixed point converges
 # on every solve, in at most MAX_ADAPTIVE_ROUNDS_PER_SOLVE rounds on
 # average.  The speedup over the events/s this row ran at before
-# Anderson mixing (ADAPTIVE_BASELINE_EVENTS_PER_S) is recorded against
-# the ROADMAP's >= 10x target, not asserted.
+# Anderson mixing (ADAPTIVE_BASELINE_WALL_S) is recorded against the
+# ROADMAP's >= 10x target, not asserted.
 ADAPTIVE_FLEET = dict(
     nodes=4,
     router="least-loaded",
@@ -506,9 +627,13 @@ ADAPTIVE_FLEET = dict(
     seed=7,
 )
 MAX_ADAPTIVE_ROUNDS_PER_SOLVE = 10.0
-#: events/s of this row under the damped fixed point (2-CPU x86
-#: container), the reference for the recorded speedup.
-ADAPTIVE_BASELINE_EVENTS_PER_S = 908.1
+#: Wall time of this row under the damped fixed point (2-CPU x86
+#: container), the reference for the recorded speedup: it ran at 908.1
+#: events/s, and the row counted 16,818 events (generated + node-queue
+#: pops) while every reflow still queued a completion per running
+#: request.  Wall time at fixed config is the unit the event count
+#: cannot move.
+ADAPTIVE_BASELINE_WALL_S = 16818 / 908.1
 ADAPTIVE_SPEEDUP_TARGET = 10.0
 
 
@@ -551,7 +676,7 @@ def test_default_adaptive_fleet():
             "events_per_s": round(events_per_s, 1),
             "requests_per_s": round(report.generated / elapsed, 1),
             "speedup_vs_damped": round(
-                events_per_s / ADAPTIVE_BASELINE_EVENTS_PER_S, 2
+                ADAPTIVE_BASELINE_WALL_S / elapsed, 2
             ),
             "speedup_target": ADAPTIVE_SPEEDUP_TARGET,
             "model_solves": solves,

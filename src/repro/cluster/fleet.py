@@ -22,11 +22,12 @@ candidate across three lanes and processes exactly it:
 The candidates live in one **merged event heap** keyed
 ``(time, lane, index)`` with per-``(lane, index)`` version counters
 for lazy invalidation: a lane whose candidate changes pushes a fresh
-entry and bumps its version, and stale entries are discarded on pop —
-the same lazy-invalidation idea the nodes use for superseded
-completions.  Selecting the next event is therefore O(log n) instead
-of an O(N)-per-event scan over every node and source, which is what
-made fleet throughput *fall* as N grew.
+entry and bumps its version, and stale entries are discarded on pop.
+A node's next event time can move later (a reflow re-stages its one
+pending completion), so every path that mutates a node refreshes its
+lane after the mutation.  Selecting the next event is therefore
+O(log n) instead of an O(N)-per-event scan over every node and source,
+which is what made fleet throughput *fall* as N grew.
 
 Ties break by (time, lane, index) — pure integers, no hash order — so
 one seed produces one event interleaving and therefore one
@@ -67,10 +68,10 @@ of which peer populated the memo.  This is what makes fleet events/s
 scale with N instead of re-solving every composition once per node.
 
 **Failover and loss accounting.**  A kill evacuates the victim's
-running and queued requests (counted as ``shed_failure``), strands its
-scheduled completions via the epoch bump, and removes it from the live
-set; subsequent arrivals route around it (``failover`` decisions,
-ring successors under ``hash``).  Conservation holds fleet-wide::
+running and queued requests (counted as ``shed_failure``), withdraws
+its pending completion, and removes it from the live set; subsequent
+arrivals route around it (``failover`` decisions, ring successors
+under ``hash``).  Conservation holds fleet-wide::
 
     generated == completed + shed_admission + shed_failure + shed_no_node
 
@@ -885,7 +886,6 @@ class Cluster:
         event = self._fault_events[self._fault_index]
         self._fault_index += 1
         self._refresh_lane(0, 0)
-        self._refresh_lane(1, event.node)
         node = self.nodes[event.node]
         if event.recover:
             node.recover(event.time_s)
@@ -905,6 +905,8 @@ class Cluster:
             })
             return
         lost = node.fail(event.time_s)
+        # The kill withdrew the node's pending completion.
+        self._refresh_lane(1, event.node)
         self._alive.discard(event.node)
         self._alive_frozen = frozenset(self._alive)
         if lost:

@@ -109,8 +109,8 @@ class ClusterNode(QueryService):
         lost (in service + queued).
 
         In-flight work progresses at the pre-crash rates up to the
-        crash instant and is then discarded; the epoch bump strands
-        every already-scheduled completion, and the CAT configuration
+        crash instant and is then discarded with its pending
+        completion, and the CAT configuration
         resets to the unpartitioned full mask — a restarted process
         starts from the baseline, exactly like a cold service.
         """
@@ -126,7 +126,8 @@ class ClusterNode(QueryService):
         for request in running + queued:
             del self._requests[request.request_id]
         self._state.rates = {}
-        self._state.epoch += 1
+        self._state.composition = {}
+        self.queue.unstage()
         self.cache_controller.disable()
         if self.controller is not None:
             self.controller.reset()

@@ -20,10 +20,12 @@ tuples per second — processor sharing within the class.
 **Event mechanics.**  Service rates only change when the running
 composition or the masks change (arrival admitted, completion,
 controller reconfiguration).  Each such *reflow* advances every
-running request's remaining work at the old rates, bumps an epoch
-counter, and schedules fresh COMPLETION events at the new rates;
-completion events from earlier epochs are recognised by their stale
-epoch and dropped (lazy invalidation).  Rate solves are memoised in
+running request's remaining work at the old rates, then stages the
+one pending COMPLETION — the earliest ETA at the new rates, ties to
+the first running request in admission order — in the event queue's
+replaceable slot, so every dispatched completion finishes a request.
+The (class, mask) composition is counted as requests start and
+finish, and recounted when masks change.  Rate solves are memoised in
 each service's bounded :class:`RateCache`, keyed by the exact (class,
 mask, count) composition.  Runs share solves through an optional
 ``solve_memo`` behind that cache — what keeps policy comparisons and
@@ -342,10 +344,13 @@ class ServiceReport:
 class _RunningState:
     """Mutable per-run bookkeeping the event handlers share."""
 
-    epoch: int = 0
     rates: dict[int, float] = field(default_factory=dict)
     last_advance_s: float = 0.0
     slots: dict[int, int] = field(default_factory=dict)  # req -> tid
+    #: Running requests per (class name, mask): the composition.
+    composition: dict[tuple[str, int], int] = field(
+        default_factory=dict
+    )
 
 
 class QueryService:
@@ -514,13 +519,11 @@ class QueryService:
     # -- rate model ----------------------------------------------------
 
     def _composition_signature(self) -> tuple:
-        counts: dict[tuple[str, int], int] = {}
-        for request in self.admission.running.values():
-            key = (request.cls.name, self._mask_for(request.cls))
-            counts[key] = counts.get(key, 0) + 1
         return tuple(
             (name, mask, count)
-            for (name, mask), count in sorted(counts.items())
+            for (name, mask), count in sorted(
+                self._state.composition.items()
+            )
         )
 
     def _solve_rates(self) -> dict[int, float]:
@@ -615,19 +618,20 @@ class QueryService:
         self._state.last_advance_s = now
 
     def _reflow(self, now: float) -> None:
-        """Recompute rates and reschedule every completion."""
+        """Recompute rates and stage the earliest completion."""
         self._advance(now)
-        self._state.rates = self._solve_rates()
-        self._state.epoch += 1
-        for request_id, rate in self._state.rates.items():
-            request = self._requests[request_id]
-            request.epoch = self._state.epoch
-            eta = now + request.remaining_tuples / rate
-            self.queue.push(
-                eta,
-                EventKind.COMPLETION,
-                request_id=request_id,
-                epoch=self._state.epoch,
+        rates = self._state.rates = self._solve_rates()
+        requests = self._requests
+        first_eta = None
+        for request_id, rate in rates.items():
+            eta = now + requests[request_id].remaining_tuples / rate
+            if first_eta is None or eta < first_eta:
+                first_eta, first_id = eta, request_id
+        if first_eta is None:
+            self.queue.unstage()
+        else:
+            self.queue.stage(
+                first_eta, EventKind.COMPLETION, request_id=first_id
             )
 
     def reprogram(self, now: float) -> None:
@@ -635,25 +639,31 @@ class QueryService:
 
         The one path for every mask change (controller decision,
         planner scheme switch, defense jail): re-associate each running
-        request's worker slot in request-id order, then reflow the
-        rates under the new masks.
+        request's worker slot in request-id order, recount the
+        composition under the new masks, then reflow the rates.
         """
+        counts: dict[tuple[str, int], int] = {}
         for request_id in sorted(self.admission.running):
-            self._associate(self._requests[request_id])
+            request = self._requests[request_id]
+            key = (request.cls.name, self._associate(request))
+            counts[key] = counts.get(key, 0) + 1
+        self._state.composition = counts
         self._reflow(now)
 
-    def _associate(self, request: Request) -> None:
+    def _associate(self, request: Request) -> int:
         tid = self._state.slots[request.request_id]
-        self.cache_controller.associate(
-            tid, self._mask_for(request.cls)
-        )
+        mask = self._mask_for(request.cls)
+        self.cache_controller.associate(tid, mask)
+        return mask
 
     def _admit_bookkeeping(self, request: Request) -> None:
         self._state.slots[request.request_id] = self._free_tids.pop()
         self.admission.bind_tenant(
             request.tenant, request.cls.static_cuid
         )
-        self._associate(request)
+        key = (request.cls.name, self._associate(request))
+        composition = self._state.composition
+        composition[key] = composition.get(key, 0) + 1
 
     # -- event handlers ------------------------------------------------
 
@@ -742,11 +752,7 @@ class QueryService:
 
     def _on_completion(self, now: float, payload: dict) -> None:
         request_id = payload["request_id"]
-        if payload["epoch"] != self._state.epoch:
-            return  # stale: superseded by a later reflow
-        request = self._requests.get(request_id)
-        if request is None or request_id not in self.admission.running:
-            return
+        request = self._requests[request_id]
         self._advance(now)
         request.completed_s = now
         request.remaining_tuples = 0.0
@@ -756,6 +762,11 @@ class QueryService:
         self._free_tids.append(self._state.slots.pop(request_id))
         self._free_tids.sort(reverse=True)
         del self._state.rates[request_id]
+        composition = self._state.composition
+        key = (request.cls.name, self._mask_for(request.cls))
+        composition[key] -= 1
+        if not composition[key]:
+            del composition[key]
         promoted = self.admission.release(request_id, now)
         if promoted is not None:
             self._admit_bookkeeping(promoted)

@@ -13,6 +13,13 @@ moved, and to rewrite the file:
 
     PYTHONPATH=src python -m tests.golden.corpus            # report only
     PYTHONPATH=src python -m tests.golden.corpus --regen    # rewrite
+
+To see *which keys* moved, dump every scenario's canonical report in
+two checkouts and compare the directories:
+
+    PYTHONPATH=src python -m tests.golden.corpus --dump /tmp/before
+    PYTHONPATH=src python -m tests.golden.corpus --dump /tmp/after
+    diff -r /tmp/before /tmp/after
 """
 
 from __future__ import annotations
@@ -156,11 +163,16 @@ def summarize(report) -> dict:
     }
 
 
-def run_scenario(name: str) -> dict:
+def run_report(name: str):
+    """Run one scenario from a clean seeding state; returns its report."""
     from repro import seeding
 
     seeding.set_seed(None)
-    return summarize(scenarios()[name]())
+    return scenarios()[name]()
+
+
+def run_scenario(name: str) -> dict:
+    return summarize(run_report(name))
 
 
 def load_digests() -> dict:
@@ -197,12 +209,24 @@ def main(argv: list[str] | None = None) -> int:
         "--regen", action="store_true",
         help="rewrite digests.json with the current results",
     )
+    parser.add_argument(
+        "--dump", metavar="DIR", type=Path,
+        help="also write each scenario's canonical report to "
+        "DIR/<scenario>.json (compare two checkouts with diff -r)",
+    )
     args = parser.parse_args(argv)
     expected = load_digests() if DIGESTS_PATH.exists() else {}
+    if args.dump is not None:
+        args.dump.mkdir(parents=True, exist_ok=True)
     current = {}
     moved = 0
     for name in scenarios():
-        current[name] = run_scenario(name)
+        report = run_report(name)
+        current[name] = summarize(report)
+        if args.dump is not None:
+            (args.dump / f"{name}.json").write_text(
+                report.to_json() + "\n", encoding="utf-8"
+            )
         if expected.get(name) != current[name]:
             moved += 1
             print(describe_move(name, expected.get(name), current[name]))

@@ -12,8 +12,10 @@ from repro.cluster import (
     seeded_faults,
     validate_schedule,
 )
+from repro.defense import AttackSpec
 from repro.errors import ClusterError
 from repro.obs import observing
+from tests.test_serve_service import check_event_core
 
 
 def _run(**overrides):
@@ -373,3 +375,52 @@ class TestAdaptiveFleet:
         assert described["policy"] == "affinity"
         assert described["classifications"]["scan"] == "polluting"
         assert described["classifications"]["agg"] == "sensitive"
+
+
+class TestEventCore:
+    def test_faulted_jailed_planned_fleet_invariants(self):
+        """The one-pending-completion invariants hold on every node of
+        a fleet whose nodes are killed, replanned and jailed mid-run,
+        and no node's clock runs ahead of the fleet frontier."""
+        cluster = Cluster(ClusterConfig(
+            nodes=4, router="planned", policy="planned", mix="shift",
+            profile="diurnal", duration_s=4.0, rate_per_s=6.0, seed=7,
+            plan_interval_s=0.5, faults=(FaultSpec(2, 1.0, 2.5),),
+            attacks=(AttackSpec("thrash", start_s=0.25),),
+            defense="jail", defense_interval_s=0.5,
+        ))
+        frontier: list[float] = []
+        pop_candidate = cluster._pop_candidate
+
+        def recording_pop():
+            candidate = pop_candidate()
+            if candidate is not None:
+                frontier.append(candidate[0])
+            return candidate
+
+        cluster._pop_candidate = recording_pop
+        times = []
+        for node in cluster.nodes:
+            times.append(check_event_core(node, frontier))
+            accept = node.accept
+
+            def checked_accept(now, cls, arrived_s=None, node=node,
+                               accept=accept):
+                assert node.clock.now <= now
+                return accept(now, cls, arrived_s=arrived_s)
+
+            node.accept = checked_accept
+        report = cluster.run()
+        # The scenario exercises every restaging path.
+        assert report.defense["convicted_groups"] == ["thrash"]
+        assert report.planner["reconfigurations"] >= 1
+        assert report.shed_failure >= 1
+        for node_report, node_times in zip(report.node_reports, times):
+            assert node_report.end_time_s == (
+                node_times[-1] if node_times else 0.0
+            )
+            assert node_report.events["popped"] == len(node_times)
+            assert node_report.events["popped"] == (
+                node_report.completed
+                + node_report.controller.get("ticks", 0)
+            )

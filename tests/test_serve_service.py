@@ -7,6 +7,7 @@ import pytest
 from repro.errors import ServeError
 from repro.serve import QueryService, ServiceConfig
 from repro.serve.controller import AdaptiveController
+from repro.serve.events import EventKind
 
 
 def _config(**overrides):
@@ -30,8 +31,14 @@ def solve_memo():
 
 
 @pytest.fixture(scope="module")
-def baseline_report(solve_memo):
-    return QueryService(_config(), solve_memo=solve_memo).run()
+def baseline_run(solve_memo):
+    service = QueryService(_config(), solve_memo=solve_memo)
+    return service, service.run()
+
+
+@pytest.fixture(scope="module")
+def baseline_report(baseline_run):
+    return baseline_run[1]
 
 
 class TestConservation:
@@ -42,12 +49,79 @@ class TestConservation:
         # eventually completes.
         assert report.completed + report.shed == report.arrived
 
-    def test_events_balanced(self, baseline_report):
-        events = baseline_report.events
-        assert events["pushed"] == events["popped"]
+    def test_events_balanced(self, baseline_run):
+        """Every scheduled event is dispatched or superseded, and every
+        dispatched event is real: one per arrival, per completion and
+        per controller tick — no stale completion is ever popped."""
+        service, report = baseline_run
+        queue = service.queue
+        assert not queue
+        assert queue.pushed == queue.popped + queue.superseded
+        assert report.events == {
+            "pushed": queue.pushed, "popped": queue.popped,
+        }
+        ticks = report.controller.get("ticks", 0)
+        assert report.events["popped"] == (
+            report.arrived + report.completed + ticks
+        )
 
     def test_clock_never_precedes_horizon_work(self, baseline_report):
         assert baseline_report.end_time_s > 0.0
+
+
+def check_event_core(service, frontier=None) -> list:
+    """Assert the event core's invariants around every dispatch.
+
+    Wraps ``service.dispatch`` and returns the (growing) list of
+    dispatched event times.  After each event:
+
+    * the heap holds no COMPLETION — the one pending completion is the
+      staged one, present exactly while requests are running;
+    * a dispatched COMPLETION completed its request at that instant;
+    * the incrementally kept composition equals a recount of the
+      running set under the current masks.
+
+    With ``frontier`` (a fleet's popped candidate times), each event
+    must dispatch at the fleet time its node lane was popped at.
+    """
+    times: list[float] = []
+    dispatch = service.dispatch
+
+    def checked(event) -> None:
+        if frontier is not None:
+            assert event.time_s == frontier[-1]
+        dispatch(event)
+        times.append(event.time_s)
+        if event.kind is EventKind.COMPLETION:
+            request = service._requests[event.payload["request_id"]]
+            assert request.completed_s == event.time_s
+        queue = service.queue
+        assert not any(
+            entry[2].kind is EventKind.COMPLETION for entry in queue._heap
+        )
+        assert (queue.staged is None) == (not service.admission.running)
+        recount: dict = {}
+        for request in service.admission.running.values():
+            key = (request.cls.name, service._mask_for(request.cls))
+            recount[key] = recount.get(key, 0) + 1
+        assert service._state.composition == recount
+
+    service.dispatch = checked
+    return times
+
+
+class TestEventCore:
+    @pytest.mark.parametrize("policy", ["none", "static", "adaptive"])
+    def test_invariants_hold_every_event(self, policy, solve_memo):
+        service = QueryService(_config(policy=policy), solve_memo=solve_memo)
+        times = check_event_core(service)
+        report = service.run()
+        ticks = report.controller.get("ticks", 0)
+        assert len(times) == report.arrived + report.completed + ticks
+        # The clock stops at the last real event: no phantom
+        # completion runs it past the drain.
+        assert report.end_time_s == times[-1]
+        assert service.queue.staged is None
 
 
 class TestDeterminism:
@@ -294,11 +368,15 @@ class TestSolveSharing:
         service.accept(0.1, cls)
         stats = service.cache_controller.stats
         requested = stats.associations_requested
-        epoch = service._state.epoch
+        staged = service.queue.staged
         service.reprogram(0.2)
         running = len(service.admission.running)
         assert running == 2
         # One compare-before-set association per running request (the
-        # masks did not move, so no kernel call), then one reflow.
+        # masks did not move, so no kernel call), then one reflow,
+        # which re-stages the one pending completion.
         assert stats.associations_requested == requested + running
-        assert service._state.epoch == epoch + 1
+        restaged = service.queue.staged
+        assert restaged.seq > staged.seq
+        assert restaged.payload == staged.payload
+        assert len(service.queue) == 1
